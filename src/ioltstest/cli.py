@@ -107,15 +107,14 @@ def _cmd_gen_suite(args) -> int:
 def _cmd_run_suite(args) -> int:
     iut = _load_model(args.iut)
     model = testgen.read_fault_model(args.suite)
-    report = testrun.run_fault_model(iut, model, fail_fast=args.fail_fast,
-                                     workers=args.parallel)
+    report = testrun.run_fault_model(iut, model, fail_fast=args.fail_fast)
     print(f"overall: {report.overall}")
     for r in report.results:
         if r.verdict == "fail":
             print(f"tp-{r.index:04d} fail: " + " ".join(r.witness))
     incomplete = sum(1 for r in report.results if r.incomplete)
     if incomplete:
-        print(f"note: {incomplete} run(s) incomplete (underspecified implementation)")
+        print(f"note: {incomplete} run(s) incomplete (tau livelock in the implementation)")
     if args.json:
         _write_json(args.json, testrun.report_json(report))
     return EXIT_OK if report.overall == "pass" else EXIT_FAULT
@@ -201,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-suite", help="run a fault model against an implementation")
     p.add_argument("--iut", required=True)
     p.add_argument("--suite", required=True, metavar="DIR")
-    p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--fail-fast", action="store_true")
     p.add_argument("--json", metavar="FILE")
     p.set_defaults(handler=_cmd_run_suite)

@@ -11,23 +11,27 @@ with ioco, which the test suite exploits as a cross-oracle.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError
 from .fsa import (
     Dfsa,
+    _first_word,
+    _search_dfsa,
     complement,
     complete,
     empty_language,
     intersect,
-    is_empty,
     shortest_witness,
     union,
 )
 from .iolts import DELTA, Iolts, determinize, ensure_quiescence
 
 WITNESS_STRATEGIES = ("single", "cover")
+
+# Search key reached by a specification trace extended by an output the
+# specification does not enable.
+_FAULT = object()
 
 
 @dataclass(frozen=True)
@@ -99,22 +103,21 @@ def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
     di = determinize(ensure_quiescence(iut))
     spec_outputs = set(spec.outputs)
     outputs = {t for t in ds.alphabet if t == DELTA or t in spec_outputs}
-    first_fault: tuple[str, ...] | None = None
-    seen = {(ds.initial, di.initial)}
-    queue: deque[tuple[int, int, tuple[str, ...]]] = deque([(ds.initial, di.initial, ())])
-    while queue and first_fault is None:
-        s, q, word = queue.popleft()
+    spec_step, iut_step = ds.transitions.get, di.transitions.get
+
+    def moves(pair):
+        s, q = pair
         for tok in ds.alphabet:
-            s2 = ds.step(s, tok)
-            q2 = di.step(q, tok)
-            if tok in outputs and q2 is not None and s2 is None:
-                first_fault = word + (tok,)
-                break
-            if s2 is None or q2 is None:
+            q2 = iut_step((q, tok))
+            if q2 is None:
                 continue
-            if (s2, q2) not in seen:
-                seen.add((s2, q2))
-                queue.append((s2, q2, word + (tok,)))
+            s2 = spec_step((s, tok))
+            if s2 is not None:
+                yield tok, (s2, q2)
+            elif tok in outputs:
+                yield tok, _FAULT
+
+    first_fault = _first_word((ds.initial, di.initial), moves, lambda key: key is _FAULT)
     stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet))
     if first_fault is None:
         return Verdict(True, (), stats)
@@ -139,45 +142,29 @@ def ioco_desirable_language(spec: Iolts) -> Dfsa:
 
 
 def _ioco_desirable(spec_det: Dfsa, outputs: set[str]) -> Dfsa:
-    # States are (det state, last-token-was-output); one extra accepting state
-    # catches spec traces extended by an output the spec does not enable.
-    done = object()
-    index: dict = {(spec_det.initial, False): 0}
-    order = [(spec_det.initial, False)]
-    trans: dict[tuple[int, str], int] = {}
-    done_idx: int | None = None
-    qi = 0
-    while qi < len(order):
-        node = order[qi]
-        qi += 1
-        i = index[node]
-        if node is done:
-            continue
-        s, _ = node
+    # States are (det state, last-token-was-output); the one extra accepting
+    # state _FAULT catches spec traces extended by an output the spec does not
+    # enable.
+    def moves(node):
+        if node is _FAULT:
+            return
         for tok in spec_det.alphabet:
-            t = spec_det.step(s, tok)
+            t = spec_det.step(node[0], tok)
             if t is not None:
-                nxt = (t, tok in outputs)
+                yield tok, (t, tok in outputs)
             elif tok in outputs:
-                nxt = done
-            else:
-                continue
-            if nxt is done and done_idx is None:
-                done_idx = len(index)
-                index[done] = done_idx
-                order.append(done)
-            if nxt is not done and nxt not in index:
-                index[nxt] = len(index)
-                order.append(nxt)
-            trans[(i, tok)] = index[nxt]
-    accepting = {i for node, i in index.items()
-                 if node is done or (node is not done and node[1])}
-    n = len(index)
-    return Dfsa(spec_det.alphabet, n, 0, frozenset(accepting), trans,
-                complete=len(trans) == n * len(spec_det.alphabet))
+                yield tok, _FAULT
+
+    return _search_dfsa(spec_det.alphabet, (spec_det.initial, False), moves,
+                        lambda node: node is _FAULT or node[1])
 
 
 def _suite_from_automata(spec_det: Dfsa, d: Dfsa, f: Dfsa) -> Dfsa:
+    if set(d.alphabet) != set(spec_det.alphabet) or set(f.alphabet) != set(spec_det.alphabet):
+        raise AlphabetMismatchError(
+            "desirable/forbidden languages must range over the specification's "
+            "observable alphabet (delta included)"
+        )
     a1 = complete(spec_det)          # accepts otr(spec)
     b1 = complement(a1)              # accepts the complement
     dc = complete(d)
@@ -194,13 +181,7 @@ def build_fault_suite(spec: Iolts, d: Dfsa, f: Dfsa) -> Dfsa:
     State count stays within (n+1)^2 * |d| * |f| for n the determinized
     specification size and |d|, |f| the completed operand sizes.
     """
-    ds = determinize(ensure_quiescence(spec))
-    if set(d.alphabet) != set(ds.alphabet) or set(f.alphabet) != set(ds.alphabet):
-        raise AlphabetMismatchError(
-            "desirable/forbidden languages must range over the specification's "
-            "observable alphabet (delta included)"
-        )
-    return _suite_from_automata(ds, d, f)
+    return _suite_from_automata(determinize(ensure_quiescence(spec)), d, f)
 
 
 def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
@@ -212,24 +193,17 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
     _require_same_alphabets(spec, iut)
     ds = determinize(ensure_quiescence(spec))
     di = determinize(ensure_quiescence(iut))
-    if set(d.alphabet) != set(ds.alphabet) or set(f.alphabet) != set(ds.alphabet):
-        raise AlphabetMismatchError(
-            "desirable/forbidden languages must range over the specification's "
-            "observable alphabet (delta included)"
-        )
     suite = _suite_from_automata(ds, d, f)
-    product = intersect(di, suite)
     stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet),
                        d_states=complete(d).n_states,
                        f_states=complete(f).n_states,
                        suite_states=suite.n_states)
-    if is_empty(product):
-        return Verdict(True, (), stats)
-    if witness == "single":
-        w = shortest_witness(product)
-        assert w is not None
-        return Verdict(False, (w,), stats)
-    return Verdict(False, tuple(witnesses_transition_cover(di, suite)), stats)
+    if witness == "cover":
+        words = tuple(witnesses_transition_cover(di, suite))
+    else:
+        w = shortest_witness(intersect(di, suite))
+        words = () if w is None else (w,)
+    return Verdict(not words, words, stats)
 
 
 def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
@@ -257,16 +231,12 @@ def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
         frontier = nxt
     if prod.initial not in dist:
         return []
-    # shortest prefix per state, lexicographic in alphabet order
+    # shortest prefix per state, lexicographic in alphabet order: the product
+    # is numbered breadth-first, so its transitions come in search order
     prefix: dict[int, tuple[str, ...]] = {prod.initial: ()}
-    queue = deque([prod.initial])
-    while queue:
-        s = queue.popleft()
-        for tok in prod.alphabet:
-            t = prod.step(s, tok)
-            if t is not None and t not in prefix:
-                prefix[t] = prefix[s] + (tok,)
-                queue.append(t)
+    for (src, tok), dst in prod.transitions.items():
+        if dst not in prefix:
+            prefix[dst] = prefix[src] + (tok,)
 
     def suffix(state: int) -> tuple[str, ...]:
         out: list[str] = []
@@ -280,7 +250,7 @@ def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
         return tuple(out)
 
     relevant = [(src, tok, dst) for (src, tok), dst in prod.transitions.items()
-                if dst in dist and src in prefix]
+                if dst in dist]
     if not relevant:
         # the fault language is exactly {empty word}: nothing to cover,
         # but the list must be nonempty for a nonempty language

@@ -15,7 +15,6 @@ minimized.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -24,6 +23,7 @@ from .errors import AlphabetMismatchError, FormatError
 _OPERATORS = ("(", ")", "|", "*")
 _EMPTY_WORD = "%empty"
 _FINITE_DIRECTIVE = "#finite"
+_MAX_NESTING = 100  # parenthesis depth; keeps the recursive parser off the stack limit
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +76,61 @@ class Dfsa:
             state = nxt
         return state in self.accepting
 
-    def enabled(self, state: int) -> tuple[str, ...]:
-        """Tokens with a defined transition at ``state``, in alphabet order."""
-        return tuple(t for t in self.alphabet if (state, t) in self.transitions)
+    def moves(self, state: int) -> list[tuple[str, int]]:
+        """The defined ``(token, successor)`` pairs at ``state``, in alphabet order."""
+        step = self.transitions.get
+        return [(t, nxt) for t in self.alphabet if (nxt := step((state, t))) is not None]
+
+
+# --- breadth-first search core ------------------------------------------------
+# One rule numbers every automaton and picks every witness: breadth-first from
+# the start, trying the ``(token, key)`` moves that ``successors(key)`` yields
+# in their order (alphabet order throughout the package).
+
+def _explore(start, successors) -> tuple[list, dict[tuple[int, str], int]]:
+    """Number every key reachable from ``start`` in discovery order; return the
+    keys (``keys[i]`` has number i) and the ``(i, token) -> j`` map, in that order."""
+    keys = [start]
+    index = {start: 0}
+    trans: dict[tuple[int, str], int] = {}
+    for i, key in enumerate(keys):  # keys grows while we walk it
+        for tok, nxt in successors(key):
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(keys)
+                keys.append(nxt)
+            trans[(i, tok)] = j
+    return keys, trans
+
+
+def _search_dfsa(alphabet: tuple[str, ...], start, successors, accepts) -> Dfsa:
+    """The automaton on the ``_explore`` numbering; key k accepts iff accepts(k)."""
+    keys, trans = _explore(start, successors)
+    n = len(keys)
+    return Dfsa(alphabet, n, 0, frozenset(i for i, k in enumerate(keys) if accepts(k)),
+                trans, complete=len(trans) == n * len(alphabet))
+
+
+def _first_word(start, successors, goal) -> tuple[str, ...] | None:
+    """The shortest word to a key satisfying ``goal`` (ties broken by successor
+    order), or None.  The search keeps parent pointers, not words."""
+    if goal(start):
+        return ()
+    parent: dict = {start: None}
+    queue = [start]
+    for key in queue:  # queue grows while we walk it
+        for tok, nxt in successors(key):
+            if nxt in parent:
+                continue
+            parent[nxt] = (key, tok)
+            if goal(nxt):
+                word = [tok]
+                while parent[key] is not None:
+                    key, tok = parent[key]
+                    word.append(tok)
+                return tuple(reversed(word))
+            queue.append(nxt)
+    return None
 
 
 def empty_language(alphabet: Sequence[str]) -> Dfsa:
@@ -122,29 +174,20 @@ def _product(a: Dfsa, b: Dfsa, conjunction: bool) -> Dfsa:
             "automata alphabets differ: "
             f"{sorted(set(a.alphabet) ^ set(b.alphabet))} not shared"
         )
-    order = a.alphabet
-    index: dict[tuple[int, int], int] = {(a.initial, b.initial): 0}
-    queue = deque([(a.initial, b.initial)])
-    trans: dict[tuple[int, str], int] = {}
-    accepting: set[int] = set()
-    while queue:
-        pa, pb = queue.popleft()
-        i = index[(pa, pb)]
-        in_a, in_b = pa in a.accepting, pb in b.accepting
-        if (in_a and in_b) if conjunction else (in_a or in_b):
-            accepting.add(i)
-        for tok in order:
-            qa = a.step(pa, tok)
-            qb = b.step(pb, tok)
-            if qa is None or qb is None:
-                continue
-            if (qa, qb) not in index:
-                index[(qa, qb)] = len(index)
-                queue.append((qa, qb))
-            trans[(i, tok)] = index[(qa, qb)]
-    n = len(index)
-    total = len(trans) == n * len(order)
-    return Dfsa(order, n, 0, frozenset(accepting), trans, complete=total)
+    a_step, b_step = a.transitions.get, b.transitions.get
+
+    def moves(pair):
+        pa, pb = pair
+        for tok in a.alphabet:
+            qa = a_step((pa, tok))
+            if qa is not None:
+                qb = b_step((pb, tok))
+                if qb is not None:
+                    yield tok, (qa, qb)
+
+    accept = all if conjunction else any
+    return _search_dfsa(a.alphabet, (a.initial, b.initial), moves,
+                        lambda k: accept((k[0] in a.accepting, k[1] in b.accepting)))
 
 
 def intersect(a: Dfsa, b: Dfsa) -> Dfsa:
@@ -159,18 +202,7 @@ def union(a: Dfsa, b: Dfsa) -> Dfsa:
 
 def is_empty(a: Dfsa) -> bool:
     """True iff no accepting state is reachable from the initial state."""
-    seen = {a.initial}
-    queue = deque([a.initial])
-    while queue:
-        s = queue.popleft()
-        if s in a.accepting:
-            return False
-        for tok in a.alphabet:
-            t = a.step(s, tok)
-            if t is not None and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return True
+    return _first_word(a.initial, a.moves, a.accepting.__contains__) is None
 
 
 def shortest_witness(a: Dfsa) -> tuple[str, ...] | None:
@@ -180,22 +212,7 @@ def shortest_witness(a: Dfsa) -> tuple[str, ...] | None:
     tokens in alphabet declaration order, so among equal-length candidates the
     lexicographically smallest one (under that order) is produced.
     """
-    if a.initial in a.accepting:
-        return ()
-    seen = {a.initial}
-    queue: deque[tuple[int, tuple[str, ...]]] = deque([(a.initial, ())])
-    while queue:
-        s, word = queue.popleft()
-        for tok in a.alphabet:
-            t = a.step(s, tok)
-            if t is None or t in seen:
-                continue
-            extended = word + (tok,)
-            if t in a.accepting:
-                return extended
-            seen.add(t)
-            queue.append((t, extended))
-    return None
+    return _first_word(a.initial, a.moves, a.accepting.__contains__)
 
 
 def equivalent(a: Dfsa, b: Dfsa) -> bool:
@@ -228,17 +245,17 @@ def bounded_language(a: Dfsa, depth: int) -> set[tuple[str, ...]]:
 
 # --- token-regex compilation -------------------------------------------------
 
-# AST nodes are tagged tuples:
-#   ("empty",)            the empty language
+# AST nodes are tagged tuples; "cat" and "alt" take any number of parts:
 #   ("eps",)              the empty word
 #   ("lit", token)
-#   ("cat", left, right)
-#   ("alt", left, right)
+#   ("cat", part, part, ...)
+#   ("alt", part, part, ...)
 #   ("star", inner)
 
 
 def _parse_tokens(tokens: list[str], alphabet: set[str]):
     pos = 0
+    depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -250,11 +267,11 @@ def _parse_tokens(tokens: list[str], alphabet: set[str]):
         return tok
 
     def parse_alt():
-        node = parse_seq()
+        alts = [parse_seq()]
         while peek() == "|":
             take()
-            node = ("alt", node, parse_seq())
-        return node
+            alts.append(parse_seq())
+        return alts[0] if len(alts) == 1 else ("alt", *alts)
 
     def parse_seq():
         items = []
@@ -262,26 +279,29 @@ def _parse_tokens(tokens: list[str], alphabet: set[str]):
             items.append(parse_item())
         if not items:
             raise FormatError("regex syntax error: empty alternative")
-        node = items[0]
-        for item in items[1:]:
-            node = ("cat", node, item)
-        return node
+        return items[0] if len(items) == 1 else ("cat", *items)
 
     def parse_item():
         node = parse_atom()
         while peek() == "*":
             take()
-            node = ("star", node)
+            if node[0] != "star":  # (r*)* = r*
+                node = ("star", node)
         return node
 
     def parse_atom():
+        nonlocal depth
         tok = peek()
         if tok == "(":
             take()
+            depth += 1
+            if depth > _MAX_NESTING:
+                raise FormatError(f"regex nests deeper than {_MAX_NESTING} parentheses")
             node = parse_alt()
             if peek() != ")":
                 raise FormatError("regex syntax error: unbalanced '('")
             take()
+            depth -= 1
             return node
         if tok in (")", "|", "*", None):
             raise FormatError(f"regex syntax error near {tok!r}")
@@ -319,20 +339,19 @@ class _Nfa:
     def fragment(self, ast) -> tuple[int, int]:
         tag = ast[0]
         start, end = self.new_state(), self.new_state()
-        if tag == "empty":
-            pass  # no connection at all
-        elif tag == "eps":
+        if tag == "eps":
             self.add_eps(start, end)
         elif tag == "lit":
             self.add_edge(start, ast[1], end)
         elif tag == "cat":
-            s1, e1 = self.fragment(ast[1])
-            s2, e2 = self.fragment(ast[2])
-            self.add_eps(start, s1)
-            self.add_eps(e1, s2)
-            self.add_eps(e2, end)
+            last = start
+            for sub in ast[1:]:
+                s, e = self.fragment(sub)
+                self.add_eps(last, s)
+                last = e
+            self.add_eps(last, end)
         elif tag == "alt":
-            for sub in (ast[1], ast[2]):
+            for sub in ast[1:]:
                 s, e = self.fragment(sub)
                 self.add_eps(start, s)
                 self.add_eps(e, end)
@@ -359,30 +378,30 @@ class _Nfa:
 
 
 def _nfa_to_dfsa(nfa: _Nfa, start: int, end: int, alphabet: tuple[str, ...]) -> Dfsa:
-    init = nfa.closure(frozenset({start}))
-    index: dict[frozenset[int], int] = {init: 0}
-    queue = deque([init])
-    trans: dict[tuple[int, str], int] = {}
-    accepting: set[int] = set()
-    while queue:
-        subset = queue.popleft()
-        i = index[subset]
-        if end in subset:
-            accepting.add(i)
+    def moves(subset):
         for tok in alphabet:
             targets = set()
             for s in subset:
                 targets |= nfa.edges[s].get(tok, set())
-            if not targets:
-                continue
-            closed = nfa.closure(frozenset(targets))
-            if closed not in index:
-                index[closed] = len(index)
-                queue.append(closed)
-            trans[(i, tok)] = index[closed]
-    n = len(index)
-    return Dfsa(alphabet, n, 0, frozenset(accepting), trans,
-                complete=len(trans) == n * len(alphabet))
+            if targets:
+                yield tok, nfa.closure(frozenset(targets))
+
+    return _search_dfsa(alphabet, nfa.closure(frozenset({start})), moves,
+                        lambda subset: end in subset)
+
+
+def _prefix_tree(words: list[tuple[str, ...]], alphabet: tuple[str, ...]) -> Dfsa:
+    """The automaton of a finite word list: one state per distinct prefix,
+    identified by its length and the indices of the words sharing it."""
+    def moves(node):
+        depth, group = node
+        for tok in alphabet:
+            nxt = tuple(w for w in group if depth < len(words[w]) and words[w][depth] == tok)
+            if nxt:
+                yield tok, (depth + 1, nxt)
+
+    return _search_dfsa(alphabet, (0, tuple(range(len(words)))), moves,
+                        lambda node: any(len(words[w]) == node[0] for w in node[1]))
 
 
 def _minimize(a: Dfsa) -> Dfsa:
@@ -432,16 +451,10 @@ def _minimize(a: Dfsa) -> Dfsa:
 
 def _renumber_bfs(a: Dfsa) -> Dfsa:
     """Canonical state numbering: breadth-first from initial, alphabet order."""
-    order = {a.initial: 0}
-    queue = deque([a.initial])
-    while queue:
-        s = queue.popleft()
-        for tok in a.alphabet:
-            t = a.step(s, tok)
-            if t is not None and t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    # unreachable states (none arise from our pipelines) are dropped
+    keys, _ = _explore(a.initial, a.moves)
+    order = {s: i for i, s in enumerate(keys)}
+    # unreachable states (none arise from our pipelines) are dropped; the
+    # transitions keep the insertion order of ``a``
     trans = {
         (order[s], tok): order[t]
         for (s, tok), t in a.transitions.items()
@@ -490,23 +503,16 @@ def compile_regex(src: str, alphabet: Sequence[str]) -> Dfsa:
     if not lines:
         return empty_language(alpha)
     if finite or len(lines) > 1:
-        ast = ("empty",)
-        first = True
+        words = []
         for ln in lines:
-            word_ast = ("eps",)
-            if ln != _EMPTY_WORD:
-                parts = ln.split()
-                for tok in parts:
-                    if tok not in tokens_set:
-                        raise FormatError(f"regex literal {tok!r} not in alphabet")
-                word_ast = ("lit", parts[0])
-                for tok in parts[1:]:
-                    word_ast = ("cat", word_ast, ("lit", tok))
-            ast = word_ast if first else ("alt", ast, word_ast)
-            first = False
+            word = () if ln == _EMPTY_WORD else tuple(ln.split())
+            for tok in word:
+                if tok not in tokens_set:
+                    raise FormatError(f"regex literal {tok!r} not in alphabet")
+            words.append(word)
+        dfsa = _prefix_tree(words, alpha)
     else:
-        ast = _parse_tokens(lines[0].split(), tokens_set)
-    nfa = _Nfa()
-    start, end = nfa.fragment(ast)
-    dfsa = _nfa_to_dfsa(nfa, start, end, alpha)
+        nfa = _Nfa()
+        start, end = nfa.fragment(_parse_tokens(lines[0].split(), tokens_set))
+        dfsa = _nfa_to_dfsa(nfa, start, end, alpha)
     return _renumber_bfs(_minimize(complete(dfsa)))

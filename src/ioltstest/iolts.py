@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import FormatError
-from .fsa import Dfsa
+from .fsa import Dfsa, _search_dfsa
 
 TAU = "tau"
 DELTA = "delta"
@@ -299,28 +299,16 @@ def determinize(m: Iolts) -> Dfsa:
     if not m.is_quiescence_completed:
         raise FormatError("determinize requires a quiescence-completed model")
     alphabet = m.observable_alphabet
-    init = _tau_closure(m, frozenset({m.initial}))
-    index: dict[frozenset[int], int] = {init: 0}
-    queue = [init]
-    trans: dict[tuple[int, str], int] = {}
-    qi = 0
-    while qi < len(queue):
-        subset = queue[qi]
-        qi += 1
-        i = index[subset]
+
+    def moves(subset):
         for tok in alphabet:
             targets = {t for s in subset for label, t in m.transitions_from(s)
                        if label == tok}
-            if not targets:
-                continue
-            closed = _tau_closure(m, frozenset(targets))
-            if closed not in index:
-                index[closed] = len(index)
-                queue.append(closed)
-            trans[(i, tok)] = index[closed]
-    n = len(index)
-    return Dfsa(alphabet, n, 0, frozenset(range(n)), trans,
-                complete=len(trans) == n * len(alphabet))
+            if targets:
+                yield tok, _tau_closure(m, frozenset(targets))
+
+    return _search_dfsa(alphabet, _tau_closure(m, frozenset({m.initial})), moves,
+                        lambda subset: True)
 
 
 def traces_bounded(m: Iolts, depth: int) -> set[tuple[str, ...]]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import FormatError
+from .fsa import _explore
 from .iolts import TAU, Iolts
 
 log = logging.getLogger(__name__)
@@ -172,17 +173,9 @@ def submachine(spec: Iolts, keep_fraction: float, seed: int,
 
 
 def _prune_unreachable(m: Iolts) -> Iolts:
-    reach = {m.initial}
-    stack = [m.initial]
-    while stack:
-        s = stack.pop()
-        for _, t in m.transitions_from(s):
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    if len(reach) == len(m.states):
+    keep = sorted(_explore(m.initial, m.transitions_from)[0])
+    if len(keep) == len(m.states):
         return m
-    keep = [i for i in range(len(m.states)) if i in reach]
     remap = {old: new for new, old in enumerate(keep)}
     return Iolts(
         tuple(m.states[i] for i in keep),
@@ -190,7 +183,7 @@ def _prune_unreachable(m: Iolts) -> Iolts:
         m.inputs,
         m.outputs,
         tuple((remap[s], lab, remap[t]) for s, lab, t in m.transitions
-              if s in reach and t in reach),
+              if s in remap and t in remap),
     )
 
 

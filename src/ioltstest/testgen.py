@@ -407,16 +407,41 @@ def write_fault_model(model: FaultModel, directory: str) -> None:
         fh.write("\n")
 
 
+# manifest keys read back, with their JSON types
+_MANIFEST_TYPES = {"m": int, "n": int, "limit": int, "truncated": bool,
+                   "tp_count": int, "inputs": list, "outputs": list, "paths": list}
+
+
 def read_fault_model(directory: str) -> FaultModel:
+    """Load a directory written by ``write_fault_model``; FormatError on a
+    malformed manifest or tester, or a path that does not lead its tester to fail."""
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise FormatError("manifest.json must hold a JSON object")
+    for key, kind in _MANIFEST_TYPES.items():
+        if type(manifest.get(key)) is not kind:  # also rejects bool for int
+            raise FormatError(f"manifest.json needs key {key!r} of type {kind.__name__}")
+    lists = [manifest["inputs"], manifest["outputs"], *manifest["paths"]]
+    if not all(type(v) is list and all(type(t) is str for t in v) for v in lists):
+        raise FormatError("manifest.json alphabets and paths must be lists of tokens")
+    if manifest["tp_count"] != len(manifest["paths"]):
+        raise FormatError("manifest.json tp_count differs from its number of paths")
+    paths = tuple(tuple(p) for p in manifest["paths"])
     tps = []
-    for i in range(manifest["tp_count"]):
-        with open(os.path.join(directory, f"tp-{i:04d}.iolts"), encoding="utf-8") as fh:
-            tps.append(tp_from_text(fh.read()))
+    for i, path in enumerate(paths):
+        name = f"tp-{i:04d}.iolts"
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            tp = tp_from_text(fh.read())
+        step, state = tp._step, tp.initial
+        for tok in path:  # fail may only be reached by the last token
+            state = None if state == tp.fail_index else step.get((state, tok))
+        if state != tp.fail_index:
+            raise FormatError(f"{name}: its manifest path does not lead to fail")
+        tps.append(tp)
     return FaultModel(
         tuple(tps),
-        tuple(tuple(p) for p in manifest["paths"]),
+        paths,
         manifest["m"],
         manifest["n"],
         manifest["limit"],

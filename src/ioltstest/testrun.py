@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError
@@ -115,8 +114,9 @@ def run_fault_model(iut: Iolts, model: FaultModel, fail_fast: bool = False,
     """Run every tester of a fault model; overall pass means all pass.
 
     ``fail_fast`` stops at the first failing tester (remaining testers are
-    omitted from the report).  ``workers`` > 1 runs testers concurrently; the
-    report order is tester order either way.
+    omitted from the report).  Testers run one after another in tester order;
+    ``workers`` is accepted for compatibility and ignored (threads only slowed
+    these CPU-bound runs down).
     """
     start = time.perf_counter()
     ci = ensure_quiescence(iut)
@@ -124,16 +124,11 @@ def run_fault_model(iut: Iolts, model: FaultModel, fail_fast: bool = False,
     for tp in model.tps:
         _check_alphabets(ci, tp)
     results: list[TpResult] = []
-    if workers > 1 and not fail_fast and model.tps:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda tp: _run_product(di, tp), model.tps))
-        results = [TpResult(i, v, w, inc) for i, (v, w, inc) in enumerate(outcomes)]
-    else:
-        for i, tp in enumerate(model.tps):
-            verdict, witness, inc = _run_product(di, tp)
-            results.append(TpResult(i, verdict, witness, inc))
-            if fail_fast and verdict == "fail":
-                break
+    for i, tp in enumerate(model.tps):
+        verdict, witness, inc = _run_product(di, tp)
+        results.append(TpResult(i, verdict, witness, inc))
+        if fail_fast and verdict == "fail":
+            break
     overall = "pass" if all(r.verdict == "pass" for r in results) else "fail"
     elapsed = (time.perf_counter() - start) * 1000.0
     return RunReport(overall, tuple(results), elapsed)

@@ -144,6 +144,34 @@ def test_run_suite_exit_codes(files, tmp_path, capsys):
     assert payload["tps"][-1]["witness"] == ["x"]
 
 
+def _swap_first_paths(manifest):
+    paths = manifest["paths"]
+    paths[0], paths[1] = paths[1], paths[0]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda mf: mf.pop("paths"),
+    lambda mf: mf.update(tp_count=str(mf["tp_count"])),
+    lambda mf: mf.update(truncated=0),
+    lambda mf: mf.update(paths=["x"]),
+    lambda mf: mf.update(tp_count=mf["tp_count"] - 1),
+    _swap_first_paths,
+], ids=["missing-key", "str-count", "int-flag", "str-paths", "count-mismatch",
+        "swapped-paths"])
+def test_run_suite_rejects_bad_manifest(files, tmp_path, capsys, corrupt):
+    out = tmp_path / "suite"
+    main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(out)])
+    manifest_file = out / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    assert len(set(map(tuple, manifest["paths"][:2]))) == 2
+    corrupt(manifest)
+    manifest_file.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["run-suite", "--iut", files["m1"], "--suite", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_gen_model_deterministic_output(tmp_path, capsys):
     a, b = tmp_path / "a.iolts", tmp_path / "b.iolts"
     args = ["gen-model", "--states", "10", "--inputs", "2", "--outputs", "10",

@@ -292,3 +292,24 @@ def test_relations_agree_on_ioco_shaped_languages():
         assert check_ioco(spec, iut).conforms == check_lang(spec, iut, d, f).conforms
         agreements += 1
     assert agreements == 30
+
+
+def test_relations_agree_on_ioco_witnesses():
+    """Under D = otr(S)*outputs and F = empty, check_lang finds the same single
+    witness as check_ioco, on deterministic and nondeterministic specs."""
+    faults = 0
+    for seed in range(300):
+        spec = random_iolts(GenParams(states=2 + seed % 6, inputs=["a", "b"],
+                                      outputs=["x", "y"], deterministic=seed % 4 < 2,
+                                      input_enabled=False, density=0.5,
+                                      seed=seed))
+        if seed % 2:
+            iut = submachine(spec, 0.6, seed)
+        else:
+            iut = mutate(spec, 0.3, seed).model
+        d = ioco_desirable_language(spec)
+        f = empty_language(d.alphabet)
+        direct = check_ioco(spec, iut)
+        assert check_lang(spec, iut, d, f).witnesses == direct.witnesses
+        faults += not direct.conforms
+    assert faults >= 100

@@ -97,6 +97,38 @@ def test_compile_rejects_bad_sources(src):
         compile_regex(src, ("a", "b"))
 
 
+def chain(word, alphabet=ABX):
+    """The partial automaton accepting exactly ``word``."""
+    trans = {(i, tok): i + 1 for i, tok in enumerate(word)}
+    return Dfsa(alphabet, len(word) + 1, 0, frozenset({len(word)}), trans)
+
+
+def test_compile_large_finite_language():
+    rng = SplitMix64(11)
+    words = set()
+    while len(words) < 1500:
+        words.add(tuple(ABX[rng.below(3)] for _ in range(1 + rng.below(8))))
+    d = compile_regex("#finite\n" + "\n".join(" ".join(w) for w in words), ABX)
+    assert bounded_language(d, 8) == words
+    longer = compile_regex(" ".join(["( a | b | x )"] * 9) + " ( a | b | x ) *", ABX)
+    assert is_empty(intersect(d, longer))
+
+
+@pytest.mark.parametrize("prefix", ["#finite\n", ""])
+def test_compile_long_word(prefix):
+    """A 3,000-token word, as a #finite file or as a one-line regex."""
+    rng = SplitMix64(12)
+    word = tuple(ABX[rng.below(3)] for _ in range(3000))
+    d = compile_regex(prefix + " ".join(word), ABX)
+    assert equivalent(d, chain(word))
+
+
+def test_compile_nesting_limit():
+    assert compile_regex("( " * 100 + "a" + " )" * 100, ABX).accepts(("a",))
+    with pytest.raises(FormatError, match="nests deeper"):
+        compile_regex("( " * 600 + "a" + " )" * 600, ABX)
+
+
 def test_recompilation_is_language_equivalent():
     a = compile_regex("( a | b ) * a x", ABX)
     b = compile_regex("( a | b ) * a x", ABX)
