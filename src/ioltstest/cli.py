@@ -1,9 +1,9 @@
 """Command-line surface: conformance checks, suite generation/run, model tools.
 
 Exit codes: 0 for conformance / all tests passing, 1 for detected
-non-conformance or test failure, 2 for usage or input errors.  Human-readable
-output goes to stdout, diagnostics to stderr, machine-readable verdicts to the
-file named by --json.
+non-conformance or test failure, 2 for usage or input errors, 3 for an internal
+error (its traceback goes to stderr).  Human-readable output goes to stdout,
+diagnostics to stderr, machine-readable verdicts to the file named by --json.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import modelgen, testgen, testrun
 from .conformance import check_ioco, check_lang, verdict_json
@@ -27,6 +28,7 @@ from .iolts import (
 EXIT_OK = 0
 EXIT_FAULT = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _load_model(path: str) -> Iolts:
@@ -249,6 +251,9 @@ def main(argv=None) -> int:
     except (IoltsTestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # a defect, not bad input: keep the traceback
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

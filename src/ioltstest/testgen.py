@@ -233,6 +233,8 @@ def path_to_test_purpose(path, inputs, outputs) -> TestPurpose:
     path = tuple(path)
     observed = tuple(outputs) + ((DELTA,) if DELTA not in outputs else ())
     emitted = tuple(inputs)
+    if not emitted:
+        raise FormatError("a tester needs at least one input to emit")
     if not path:
         raise FormatError("fault path is empty")
     legal = set(observed) | set(emitted)
@@ -252,7 +254,7 @@ def path_to_test_purpose(path, inputs, outputs) -> TestPurpose:
         for obs in observed:
             if obs != tok:
                 transitions.append((i, obs, pass_idx))
-        if tok not in emitted and emitted:
+        if tok not in emitted:
             # keep one stimulus per state: smallest declared input
             transitions.append((i, emitted[0], pass_idx))
     for terminal in (pass_idx, fail_idx):
@@ -276,43 +278,38 @@ def tp_invariant_violations(tp: TestPurpose) -> list[str]:
             problems.append(f"nondeterministic at state {tp.states[src]} on {label}")
         step[(src, label)] = dst
     emitted = set(tp.outputs)
+    adj: list[list[int]] = [[] for _ in tp.states]
+    indegree = [0] * len(tp.states)
+    stimuli = [0] * len(tp.states)
+    for (src, label), dst in step.items():
+        stimuli[src] += label in emitted
+        if not (src == dst and src in (tp.pass_index, tp.fail_index)):
+            adj[src].append(dst)
+            indegree[dst] += 1
     for s in range(len(tp.states)):
         missing = [tok for tok in tp.inputs if (s, tok) not in step]
         if missing:
             problems.append(f"state {tp.states[s]} not input-enabled: misses {missing}")
-        if s in (tp.pass_index, tp.fail_index):
-            continue
-        offered = [lab for (src, lab) in step if src == s and lab in emitted]
-        if len(offered) != 1:
-            problems.append(f"state {tp.states[s]} offers {len(offered)} stimuli")
-    # cycle check ignoring terminal self-loops
-    adj: dict[int, list[int]] = {}
-    for (src, _), dst in step.items():
-        if src == dst and src in (tp.pass_index, tp.fail_index):
-            continue
-        adj.setdefault(src, []).append(dst)
-    color = [0] * len(tp.states)
-
-    def visit(s: int) -> bool:
-        color[s] = 1
-        for t in adj.get(s, ()):
-            if color[t] == 1 or (color[t] == 0 and visit(t)):
-                return True
-        color[s] = 2
-        return False
-
-    if any(color[s] == 0 and visit(s) for s in range(len(tp.states))):
+        if s not in (tp.pass_index, tp.fail_index) and stimuli[s] != 1:
+            problems.append(f"state {tp.states[s]} offers {stimuli[s]} stimuli")
+    # Kahn: the states on or behind a cycle never reach indegree 0
+    order = [s for s, d in enumerate(indegree) if d == 0]
+    for s in order:
+        for t in adj[s]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                order.append(t)
+    if len(order) < len(tp.states):
         problems.append("cycle outside pass/fail self-loops")
 
     def reachable(start: int) -> set[int]:
         seen = {start}
         stack = [start]
         while stack:
-            s = stack.pop()
-            for (src, _), dst in step.items():
-                if src == s and dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
+            for t in adj[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
         return seen
 
     if tp.pass_index in reachable(tp.fail_index):
@@ -324,7 +321,8 @@ def tp_invariant_violations(tp: TestPurpose) -> list[str]:
 
 @dataclass(frozen=True)
 class FaultModel:
-    """An ordered set of test purposes extracted from one multigraph."""
+    """An ordered set of test purposes extracted from one multigraph;
+    ``tps[i]`` is the tester of ``paths[i]``, the path ``run_fault_model`` runs."""
 
     tps: tuple[TestPurpose, ...]
     paths: tuple[tuple[str, ...], ...]
@@ -385,12 +383,16 @@ def tp_from_text(text: str) -> TestPurpose:
     return tp
 
 
+def _tp_file_text(tp: TestPurpose, path: tuple[str, ...]) -> str:
+    return tp_to_text(tp, comments=(f"fault path: {' '.join(path)}",))
+
+
 def write_fault_model(model: FaultModel, directory: str) -> None:
     """Write tp-NNNN.iolts files plus a manifest.json describing the run."""
     os.makedirs(directory, exist_ok=True)
     for i, tp in enumerate(model.tps):
         with open(os.path.join(directory, f"tp-{i:04d}.iolts"), "w", encoding="utf-8") as fh:
-            fh.write(tp_to_text(tp, comments=(f"fault path: {' '.join(model.paths[i])}",)))
+            fh.write(_tp_file_text(tp, model.paths[i]))
     manifest = {
         "m": model.m,
         "n": model.n,
@@ -413,10 +415,14 @@ _MANIFEST_TYPES = {"m": int, "n": int, "limit": int, "truncated": bool,
 
 
 def read_fault_model(directory: str) -> FaultModel:
-    """Load a directory written by ``write_fault_model``; FormatError on a
-    malformed manifest or tester, or a path that does not lead its tester to fail."""
+    """Load a directory written by ``write_fault_model``, rebuilding each tester
+    from its manifest path; FormatError on a malformed manifest or on a tester
+    file that differs from what ``write_fault_model`` writes for that path."""
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except RecursionError:
+            raise FormatError("manifest.json is nested too deeply") from None
     if not isinstance(manifest, dict):
         raise FormatError("manifest.json must hold a JSON object")
     for key, kind in _MANIFEST_TYPES.items():
@@ -428,16 +434,14 @@ def read_fault_model(directory: str) -> FaultModel:
     if manifest["tp_count"] != len(manifest["paths"]):
         raise FormatError("manifest.json tp_count differs from its number of paths")
     paths = tuple(tuple(p) for p in manifest["paths"])
+    observed = tuple(t for t in manifest["outputs"] if t != DELTA)
     tps = []
     for i, path in enumerate(paths):
+        tp = path_to_test_purpose(path, manifest["inputs"], observed)
         name = f"tp-{i:04d}.iolts"
-        with open(os.path.join(directory, name), encoding="utf-8") as fh:
-            tp = tp_from_text(fh.read())
-        step, state = tp._step, tp.initial
-        for tok in path:  # fail may only be reached by the last token
-            state = None if state == tp.fail_index else step.get((state, tok))
-        if state != tp.fail_index:
-            raise FormatError(f"{name}: its manifest path does not lead to fail")
+        with open(os.path.join(directory, name), "rb") as fh:
+            if fh.read() != _tp_file_text(tp, path).encode("utf-8"):
+                raise FormatError(f"{name} differs from the tester of its manifest path")
         tps.append(tp)
     return FaultModel(
         tuple(tps),

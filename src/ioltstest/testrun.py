@@ -1,6 +1,6 @@
 """Executing fault models against implementation models.
 
-A run explores the synchronous product of a tester and the determinized
+``run_tp`` explores the synchronous product of a tester and the determinized
 implementation.  Stimuli flow tester-to-implementation (one token per tester
 state), observations flow back (any enabled output or quiescence).  The
 verdict is fail exactly when some product state pairs the tester's fail state
@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError
-from .fsa import Dfsa
 from .iolts import Iolts, determinize, ensure_quiescence
 from .testgen import FaultModel, TestPurpose
 
@@ -63,18 +62,8 @@ def run_tp(iut: Iolts, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None, bo
     tester listens for and emits.
     """
     ci = ensure_quiescence(iut)
-    _check_alphabets(ci, tp)
-    return _run_product(determinize(ci), tp)
-
-
-def _check_alphabets(ci: Iolts, tp: TestPurpose) -> None:
-    if set(tp.inputs) != set(ci.outputs) or set(tp.outputs) != set(ci.inputs):
-        raise AlphabetMismatchError(
-            "test purpose alphabets do not match the implementation's"
-        )
-
-
-def _run_product(di: Dfsa, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None, bool]:
+    _check_alphabets(ci, tp.inputs, tp.outputs)
+    di = determinize(ci)
     observed = set(tp.inputs)  # implementation outputs plus delta
     seen = {(tp.initial, di.initial)}
     queue: deque[tuple[int, int, tuple[str, ...]]] = deque(
@@ -92,12 +81,9 @@ def _run_product(di: Dfsa, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None
             q2 = di.step(q, tok)
             if q2 is None:
                 continue
-            if tok in observed:
-                t2 = tp.step(t, tok)
-            elif tok == tp.stimulus(t):
-                t2 = tp.step(t, tok)
-            else:
+            if tok not in observed and tok != tp.stimulus(t):
                 continue
+            t2 = tp.step(t, tok)
             if t2 is None:
                 continue
             moved = True
@@ -109,26 +95,41 @@ def _run_product(di: Dfsa, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None
     return "pass", None, incomplete
 
 
+def _check_alphabets(ci: Iolts, observed: tuple[str, ...], emitted: tuple[str, ...]) -> None:
+    if set(observed) != set(ci.outputs) or set(emitted) != set(ci.inputs):
+        raise AlphabetMismatchError(
+            "test purpose alphabets do not match the implementation's"
+        )
+
+
 def run_fault_model(iut: Iolts, model: FaultModel, fail_fast: bool = False,
                     workers: int = 1) -> RunReport:
     """Run every tester of a fault model; overall pass means all pass.
 
-    ``fail_fast`` stops at the first failing tester (remaining testers are
-    omitted from the report).  Testers run one after another in tester order;
-    ``workers`` is accepted for compatibility and ignored (threads only slowed
-    these CPU-bound runs down).
+    Each fault path is walked over the determinized implementation, with the
+    verdicts of ``run_tp`` on its tester: a trace fails with itself as witness;
+    a path that leaves at a state enabling no output, delta or stimulus passes
+    incomplete.  ``fail_fast`` stops at the first failing tester (remaining
+    testers are omitted from the report); ``workers`` is ignored.
     """
     start = time.perf_counter()
     ci = ensure_quiescence(iut)
-    di = determinize(ci)  # shared across testers; the model is immutable
-    for tp in model.tps:
-        _check_alphabets(ci, tp)
+    _check_alphabets(ci, model.outputs, model.inputs)
+    di = determinize(ci)
     results: list[TpResult] = []
-    for i, tp in enumerate(model.tps):
-        verdict, witness, inc = _run_product(di, tp)
-        results.append(TpResult(i, verdict, witness, inc))
-        if fail_fast and verdict == "fail":
-            break
+    for i, path in enumerate(model.paths):
+        q = di.initial
+        for tok in path:
+            if (nxt := di.step(q, tok)) is None:
+                stimulus = tok if tok in model.inputs else model.inputs[0]
+                stuck = all(di.step(q, t) is None for t in (*model.outputs, stimulus))
+                results.append(TpResult(i, "pass", None, stuck))
+                break
+            q = nxt
+        else:
+            results.append(TpResult(i, "fail", path, False))
+            if fail_fast:
+                break
     overall = "pass" if all(r.verdict == "pass" for r in results) else "fail"
     elapsed = (time.perf_counter() - start) * 1000.0
     return RunReport(overall, tuple(results), elapsed)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ioltstest import cli
 from ioltstest.cli import main
 from conftest import FOUR_STATE_TEXT, M1_TEXT, M3_TEXT
 
@@ -156,8 +157,9 @@ def _swap_first_paths(manifest):
     lambda mf: mf.update(paths=["x"]),
     lambda mf: mf.update(tp_count=mf["tp_count"] - 1),
     _swap_first_paths,
+    lambda mf: mf["outputs"].append("y"),
 ], ids=["missing-key", "str-count", "int-flag", "str-paths", "count-mismatch",
-        "swapped-paths"])
+        "swapped-paths", "extra-output"])
 def test_run_suite_rejects_bad_manifest(files, tmp_path, capsys, corrupt):
     out = tmp_path / "suite"
     main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(out)])
@@ -170,6 +172,55 @@ def test_run_suite_rejects_bad_manifest(files, tmp_path, capsys, corrupt):
     assert main(["run-suite", "--iut", files["m1"], "--suite", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_run_suite_rejects_edited_tester(files, tmp_path, capsys):
+    """An edited completion edge still leads the chain to fail but is not the
+    tester of its path, so the suite is refused instead of run as written."""
+    out = tmp_path / "suite"
+    main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(out)])
+    tp_file = out / "tp-0001.iolts"
+    text = tp_file.read_text()
+    assert "# fault path: a delta\n" in text and "\nt0 x pass\n" in text
+    tp_file.write_text(text.replace("\nt0 x pass\n", "\nt0 x t1\n"))
+    capsys.readouterr()
+    assert main(["run-suite", "--iut", files["m1"], "--suite", str(out)]) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_run_suite_rejects_deep_manifest(files, tmp_path, capsys):
+    out = tmp_path / "suite"
+    main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(out)])
+    (out / "manifest.json").write_text("[" * 100_000)
+    capsys.readouterr()
+    assert main(["run-suite", "--iut", files["m1"], "--suite", str(out)]) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_gen_suite_rejects_input_free_spec(tmp_path, capsys):
+    """Its testers would have no stimulus to emit."""
+    spec = tmp_path / "spec.iolts"
+    spec.write_text("states: s0\ninitial: s0\ninputs:\noutputs: x\n"
+                    "transitions:\ns0 x s0\n")
+    rc = main(["gen-suite", "--spec", str(spec), "-m", "1", "-o", str(tmp_path / "suite")])
+    assert rc == 2
+    _assert_one_error_line(capsys)
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_gen_model", broken)
+    rc = main(["gen-model", "--states", "1", "--inputs", "1", "--outputs", "1"])
+    assert rc == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_gen_model_deterministic_output(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Multigraph construction, fault-path enumeration, test-purpose completion."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -117,6 +118,31 @@ def test_tp_rejects_malformed_paths():
         path_to_test_purpose(("a",), inputs=("a",), outputs=("x",))  # ends on input
     with pytest.raises(FormatError):
         path_to_test_purpose(("z",), inputs=("a",), outputs=("x",))
+
+
+def test_long_chain_tester_satisfies_invariants():
+    tp = path_to_test_purpose(("a",) * 3000 + ("x",), ("a",), ("x",))
+    assert tp_invariant_violations(tp) == []
+
+
+# edits of the tester of "a x" over inputs a b: states t0 t1 pass fail = 0 1 2 3
+@pytest.mark.parametrize("add, drop, message", [
+    ((0, "x", 1), None, "nondeterministic at state t0 on x"),
+    (None, (0, "delta", 2), "state t0 not input-enabled: misses ['delta']"),
+    (None, (0, "a", 1), "state t0 offers 0 stimuli"),
+    ((0, "b", 2), None, "state t0 offers 2 stimuli"),
+    ((1, "delta", 0), (1, "delta", 2), "cycle outside pass/fail self-loops"),
+    ((3, "x", 2), (3, "x", 3), "pass reachable from fail"),
+    ((2, "x", 3), (2, "x", 2), "fail reachable from pass"),
+], ids=["nondeterministic", "not-input-enabled", "no-stimulus", "two-stimuli",
+        "cycle", "fail-to-pass", "pass-to-fail"])
+def test_invariant_violation_messages(add, drop, message):
+    tp = path_to_test_purpose(("a", "x"), inputs=("a", "b"), outputs=("x",))
+    assert tp_invariant_violations(tp) == []
+    transitions = [t for t in tp.transitions if t != drop] + ([add] if add else [])
+    assert len(transitions) == len(tp.transitions) + (add is not None) - (drop is not None)
+    broken = replace(tp, transitions=tuple(transitions))
+    assert tp_invariant_violations(broken) == [message]
 
 
 def test_generated_tps_satisfy_invariants():

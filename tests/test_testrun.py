@@ -1,13 +1,18 @@
 """Synchronous-product test runs and report aggregation."""
 
+from dataclasses import replace
+
 import pytest
 
 from ioltstest import (
     AlphabetMismatchError,
     FaultModel,
     GenParams,
+    SplitMix64,
+    TpResult,
     check_ioco,
     generate_fault_model,
+    mutate,
     parse_model,
     path_to_test_purpose,
     random_iolts,
@@ -133,3 +138,40 @@ def test_conforming_submachines_pass_exhaustive_models():
         iut = submachine(spec, 0.7, seed)
         assert check_ioco(spec, iut).conforms
         assert run_fault_model(iut, model).overall == "pass"
+
+
+def _livelock(iut, rng):
+    """Drop the outputs of a random half of the states and give them tau self-loops."""
+    picked = {s for s in range(len(iut.states)) if rng.below(2)}
+    outputs = set(iut.outputs)
+    kept = [t for t in iut.transitions if not (t[0] in picked and t[1] in outputs)]
+    loops = [(s, "tau", s) for s in sorted(picked) if (s, "tau", s) not in kept]
+    return replace(iut, transitions=tuple(kept + loops))
+
+
+def test_path_walk_matches_product_runs():
+    """run_fault_model's path walk gives run_tp's verdict, witness and flag per tester."""
+    failing = incomplete = 0
+    for seed in range(30):
+        rng = SplitMix64(0x3A1C + seed)
+        spec = random_iolts(GenParams(states=1 + rng.below(6), inputs=["a", "b"],
+                                      outputs=["x", "y"], deterministic=True,
+                                      input_enabled=False, density=0.5,
+                                      seed=rng.next_u64()))
+        model = generate_fault_model(spec, m=1 + rng.below(3), limit=60)
+        nondet = random_iolts(GenParams(states=1 + rng.below(5), inputs=["a", "b"],
+                                        outputs=["x", "y"], deterministic=False,
+                                        input_enabled=False, density=0.4,
+                                        seed=rng.next_u64()))
+        try:
+            mutant = mutate(spec, 0.3, seed).model
+        except ValueError:  # too few transitions to edit at that rate
+            mutant = nondet
+        iuts = (nondet, mutant, submachine(spec, 0.5, seed),
+                _livelock(nondet, rng), _livelock(mutant, rng))
+        for iut in iuts:
+            expected = tuple(TpResult(i, *run_tp(iut, tp)) for i, tp in enumerate(model.tps))
+            assert run_fault_model(iut, model).results == expected
+            failing += sum(r.verdict == "fail" for r in expected)
+            incomplete += sum(r.incomplete for r in expected)
+    assert failing and incomplete
