@@ -123,13 +123,8 @@ def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
         return Verdict(True, (), stats)
     if witness == "single":
         return Verdict(False, (first_fault,), stats)
-    d_aut = _ioco_desirable(ds, outputs)
-    suite = _suite_from_automata(ds, d_aut, empty_language(ds.alphabet))
-    witnesses = tuple(witnesses_transition_cover(di, suite))
-    stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet),
-                       d_states=complete(d_aut).n_states, f_states=1,
-                       suite_states=suite.n_states)
-    return Verdict(False, witnesses, stats)
+    return _suite_verdict(ds, di, _ioco_desirable(ds, outputs),
+                          empty_language(ds.alphabet), "cover")
 
 
 def ioco_desirable_language(spec: Iolts) -> Dfsa:
@@ -193,6 +188,12 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
     _require_same_alphabets(spec, iut)
     ds = determinize(ensure_quiescence(spec))
     di = determinize(ensure_quiescence(iut))
+    return _suite_verdict(ds, di, d, f, witness)
+
+
+def _suite_verdict(ds: Dfsa, di: Dfsa, d: Dfsa, f: Dfsa, witness: str) -> Verdict:
+    """The language-based verdict of det(IUT) ``di`` against the suite of the
+    determinized specification ``ds`` for D = ``d`` and F = ``f``."""
     suite = _suite_from_automata(ds, d, f)
     stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet),
                        d_states=complete(d).n_states,

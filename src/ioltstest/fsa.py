@@ -11,6 +11,11 @@ completion, complement, product intersection and union, emptiness, and
 shortest accepted words.  Products are left unminimized on purpose so that
 suite-size bounds stay directly observable; only compiled regexes are
 minimized.
+
+Nondeterministic automata have one encoding, adjacency rows of
+``(label, target)`` moves, and one subset construction, ``_subset_dfsa``,
+shared by compiled regexes (Thompson's construction; a word list is the
+alternation of its words) and ``iolts.determinize`` (``tau`` is silent).
 """
 
 from __future__ import annotations
@@ -131,6 +136,35 @@ def _first_word(start, successors, goal) -> tuple[str, ...] | None:
                 return tuple(reversed(word))
             queue.append(nxt)
     return None
+
+
+def _subset_dfsa(rows, internal, start: int, alphabet: tuple[str, ...], accepts) -> Dfsa:
+    """Subset construction over adjacency rows: ``rows[s]`` lists the
+    ``(label, target)`` moves of state s, and moves labelled ``internal`` are
+    silent.  A key is a set of states closed under silent moves, so a label
+    with no targets is a missing move, never an empty subset.  Subset S
+    accepts iff accepts(S)."""
+    def closure(states) -> frozenset[int]:
+        seen = set(states)
+        stack = list(seen)
+        while stack:
+            for label, t in rows[stack.pop()]:
+                if label == internal and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
+
+    def moves(subset):
+        targets: dict = {}
+        for s in subset:
+            for label, t in rows[s]:
+                if label != internal:
+                    targets.setdefault(label, set()).add(t)
+        for tok in alphabet:
+            if tok in targets:
+                yield tok, closure(targets[tok])
+
+    return _search_dfsa(alphabet, closure((start,)), moves, accepts)
 
 
 def empty_language(alphabet: Sequence[str]) -> Dfsa:
@@ -319,89 +353,43 @@ def _parse_tokens(tokens: list[str], alphabet: set[str]):
 
 
 class _Nfa:
-    """Thompson-construction scratch space."""
+    """Thompson-construction scratch space: ``rows[s]`` lists the
+    ``(label, target)`` moves of state s, label None for an empty move."""
 
     def __init__(self):
-        self.eps: list[set[int]] = []
-        self.edges: list[dict[str, set[int]]] = []
+        self.rows: list[list[tuple[str | None, int]]] = []
 
     def new_state(self) -> int:
-        self.eps.append(set())
-        self.edges.append({})
-        return len(self.eps) - 1
-
-    def add_eps(self, a: int, b: int) -> None:
-        self.eps[a].add(b)
-
-    def add_edge(self, a: int, tok: str, b: int) -> None:
-        self.edges[a].setdefault(tok, set()).add(b)
+        self.rows.append([])
+        return len(self.rows) - 1
 
     def fragment(self, ast) -> tuple[int, int]:
         tag = ast[0]
+        rows = self.rows
         start, end = self.new_state(), self.new_state()
         if tag == "eps":
-            self.add_eps(start, end)
+            rows[start].append((None, end))
         elif tag == "lit":
-            self.add_edge(start, ast[1], end)
+            rows[start].append((ast[1], end))
         elif tag == "cat":
             last = start
             for sub in ast[1:]:
                 s, e = self.fragment(sub)
-                self.add_eps(last, s)
+                rows[last].append((None, s))
                 last = e
-            self.add_eps(last, end)
+            rows[last].append((None, end))
         elif tag == "alt":
             for sub in ast[1:]:
                 s, e = self.fragment(sub)
-                self.add_eps(start, s)
-                self.add_eps(e, end)
+                rows[start].append((None, s))
+                rows[e].append((None, end))
         elif tag == "star":
             s, e = self.fragment(ast[1])
-            self.add_eps(start, end)
-            self.add_eps(start, s)
-            self.add_eps(e, s)
-            self.add_eps(e, end)
+            rows[start].extend(((None, end), (None, s)))
+            rows[e].extend(((None, s), (None, end)))
         else:  # pragma: no cover - internal invariant
             raise AssertionError(f"unknown ast node {tag}")
         return start, end
-
-    def closure(self, states: frozenset[int]) -> frozenset[int]:
-        stack = list(states)
-        seen = set(states)
-        while stack:
-            s = stack.pop()
-            for t in self.eps[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
-
-
-def _nfa_to_dfsa(nfa: _Nfa, start: int, end: int, alphabet: tuple[str, ...]) -> Dfsa:
-    def moves(subset):
-        for tok in alphabet:
-            targets = set()
-            for s in subset:
-                targets |= nfa.edges[s].get(tok, set())
-            if targets:
-                yield tok, nfa.closure(frozenset(targets))
-
-    return _search_dfsa(alphabet, nfa.closure(frozenset({start})), moves,
-                        lambda subset: end in subset)
-
-
-def _prefix_tree(words: list[tuple[str, ...]], alphabet: tuple[str, ...]) -> Dfsa:
-    """The automaton of a finite word list: one state per distinct prefix,
-    identified by its length and the indices of the words sharing it."""
-    def moves(node):
-        depth, group = node
-        for tok in alphabet:
-            nxt = tuple(w for w in group if depth < len(words[w]) and words[w][depth] == tok)
-            if nxt:
-                yield tok, (depth + 1, nxt)
-
-    return _search_dfsa(alphabet, (0, tuple(range(len(words)))), moves,
-                        lambda node: any(len(words[w]) == node[0] for w in node[1]))
 
 
 def _minimize(a: Dfsa) -> Dfsa:
@@ -503,16 +491,18 @@ def compile_regex(src: str, alphabet: Sequence[str]) -> Dfsa:
     if not lines:
         return empty_language(alpha)
     if finite or len(lines) > 1:
+        # one alternative per word; ("cat", ("eps",)) is the empty word
         words = []
         for ln in lines:
-            word = () if ln == _EMPTY_WORD else tuple(ln.split())
+            word = () if ln == _EMPTY_WORD else ln.split()
             for tok in word:
                 if tok not in tokens_set:
                     raise FormatError(f"regex literal {tok!r} not in alphabet")
-            words.append(word)
-        dfsa = _prefix_tree(words, alpha)
+            words.append(("cat", ("eps",), *(("lit", tok) for tok in word)))
+        ast = ("alt", *words)
     else:
-        nfa = _Nfa()
-        start, end = nfa.fragment(_parse_tokens(lines[0].split(), tokens_set))
-        dfsa = _nfa_to_dfsa(nfa, start, end, alpha)
+        ast = _parse_tokens(lines[0].split(), tokens_set)
+    nfa = _Nfa()
+    start, end = nfa.fragment(ast)
+    dfsa = _subset_dfsa(nfa.rows, None, start, alpha, lambda subset: end in subset)
     return _renumber_bfs(_minimize(complete(dfsa)))

@@ -5,6 +5,9 @@ disjoint input and output alphabets, with ``tau`` marking internal moves.
 Quiescence (no outputs and no internal moves at a state) is made observable by
 adding a ``delta`` self-loop there, after which the observable behavior of a
 model is the prefix-closed set of its tau-free label sequences.
+``determinize`` builds that set as an automaton by the subset construction
+of ``fsa`` over the model's adjacency rows; ``traces_bounded`` enumerates it
+with its own tau-closure, so each cross-checks the other.
 
 State order is declaration order and is semantically load-bearing: it defines
 the state indices used by the multigraph construction and every tie-breaking
@@ -18,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import FormatError
-from .fsa import Dfsa, _search_dfsa
+from .fsa import Dfsa, _subset_dfsa
 
 TAU = "tau"
 DELTA = "delta"
@@ -298,16 +301,7 @@ def determinize(m: Iolts) -> Dfsa:
     """
     if not m.is_quiescence_completed:
         raise FormatError("determinize requires a quiescence-completed model")
-    alphabet = m.observable_alphabet
-
-    def moves(subset):
-        for tok in alphabet:
-            targets = {t for s in subset for label, t in m.transitions_from(s)
-                       if label == tok}
-            if targets:
-                yield tok, _tau_closure(m, frozenset(targets))
-
-    return _search_dfsa(alphabet, _tau_closure(m, frozenset({m.initial})), moves,
+    return _subset_dfsa(m._adjacency, TAU, m.initial, m.observable_alphabet,
                         lambda subset: True)
 
 

@@ -5,10 +5,12 @@ into m*n + 1 levels (m = state bound on implementations, n = specification
 states).  Within a level an edge may only move to a strictly larger state
 index; self-loops and back edges drop to the next level, which forces
 acyclicity.  Every output token (delta included) that a state does not enable
-becomes an edge to the distinguished fail node.  Breadth-first label paths
-from the initial node to fail are the fault words, and each one is completed
-into a tester: deterministic, input-enabled over the outputs-plus-delta it
-listens to, emitting exactly one stimulus per state, with pass/fail terminals.
+becomes an edge to the distinguished fail node.  Nodes are derived on demand
+from one row of moves per state, so path search touches only the nodes it
+reaches.  Breadth-first label paths from the initial node to fail are the
+fault words, and each one is completed into a tester: deterministic,
+input-enabled over the outputs-plus-delta it listens to, emitting exactly one
+stimulus per state, with pass/fail terminals.
 """
 
 from __future__ import annotations
@@ -37,17 +39,19 @@ Node = tuple[int, int]  # (state index, level)
 
 @dataclass(frozen=True)
 class Multigraph:
-    """The acyclic unfolding of a specification with a fail sink.
+    """The acyclic unfolding of a specification into m*n + 1 levels, with a
+    fail sink.
 
-    ``edges`` maps each (state, level) node to its out-edges in token
-    declaration order; a target of ``"fail"`` is the sink.
+    Nodes are (state, level) pairs and are not tabulated: ``rows[i]`` lists
+    state i's moves in token declaration order, each to a target state or to
+    ``"fail"``, and ``out`` derives a node's edges from its state's row.
     """
 
     m: int
     n: int
     tokens: tuple[str, ...]
     initial: Node
-    edges: dict[Node, tuple[tuple[str, object], ...]]
+    rows: tuple[tuple[tuple[str, object], ...], ...]
 
     @property
     def levels(self) -> int:
@@ -58,6 +62,29 @@ class Multigraph:
         """All (state, level) nodes plus the fail sink."""
         return self.n * self.levels + 1
 
+    def out(self, node: Node) -> list[tuple[str, object]]:
+        """The out-edges of ``node`` in token declaration order.  A move to a
+        larger state index stays on the level; any other move drops to the
+        next level, and from the top level it is gone; fail edges stay."""
+        i, k = node
+        top = self.m * self.n
+        edges = []
+        for tok, j in self.rows[i]:
+            if j == FAIL:
+                edges.append((tok, FAIL))
+            elif j > i:
+                edges.append((tok, (j, k)))
+            elif k < top:
+                edges.append((tok, (j, k + 1)))
+        return edges
+
+    @cached_property
+    def edges(self) -> dict[Node, tuple[tuple[str, object], ...]]:
+        """Every node's ``out``, state-major, tabulated on first access;
+        path search does not use it."""
+        return {(i, k): tuple(self.out((i, k)))
+                for i in range(self.n) for k in range(self.levels)}
+
     def replay(self, word) -> list:
         """Node sequence induced by a label word; stops at fail."""
         path = [self.initial]
@@ -65,7 +92,7 @@ class Multigraph:
         for tok in word:
             if node == FAIL:
                 raise ValueError("word continues past fail")
-            step = dict(self.edges[node])
+            step = dict(self.out(node))
             if tok not in step:
                 raise ValueError(f"label {tok!r} undefined at node {node}")
             node = step[tok]
@@ -96,30 +123,14 @@ def build_multigraph(spec: Iolts, m: int) -> Multigraph:
     if not spec.is_deterministic:
         raise FormatError("multigraph construction requires a deterministic model")
     n = len(spec.states)
-    top = m * n
     tokens = spec.observable_alphabet
     outputs = set(spec.outputs)
-    step = {}
-    for src, label, dst in spec.transitions:
-        step[(src, label)] = dst
-    edges: dict[Node, tuple[tuple[str, object], ...]] = {}
+    rows = []
     for i in range(n):
-        for k in range(top + 1):
-            out: list[tuple[str, object]] = []
-            for tok in tokens:
-                j = step.get((i, tok))
-                if j is not None:
-                    if j > i:
-                        out.append((tok, (j, k)))
-                    elif k + 1 <= top:
-                        out.append((tok, (j, k + 1)))
-                elif tok in outputs:
-                    out.append((tok, FAIL))
-            edges[(i, k)] = tuple(out)
-    graph = Multigraph(m, n, tokens, (spec.initial, 0), edges)
-    if not graph.is_acyclic:  # structural guarantee, checked on every build
-        raise AssertionError("multigraph construction produced a cycle")
-    return graph
+        step = dict(spec.transitions_from(i))
+        rows.append(tuple((tok, step.get(tok, FAIL)) for tok in tokens
+                          if tok in step or tok in outputs))
+    return Multigraph(m, n, tokens, (spec.initial, 0), tuple(rows))
 
 
 def _enumerate_fault_paths(g: Multigraph, limit: int) -> tuple[list[tuple[str, ...]], bool]:
@@ -129,7 +140,7 @@ def _enumerate_fault_paths(g: Multigraph, limit: int) -> tuple[list[tuple[str, .
     queue: deque[tuple[Node, tuple[str, ...]]] = deque([(g.initial, ())])
     while queue:
         node, word = queue.popleft()
-        out = g.edges[node]
+        out = g.out(node)
         for idx, (tok, target) in enumerate(out):
             if target == FAIL:
                 paths.append(word + (tok,))
@@ -431,6 +442,8 @@ def read_fault_model(directory: str) -> FaultModel:
     lists = [manifest["inputs"], manifest["outputs"], *manifest["paths"]]
     if not all(type(v) is list and all(type(t) is str for t in v) for v in lists):
         raise FormatError("manifest.json alphabets and paths must be lists of tokens")
+    if DELTA not in manifest["outputs"]:
+        raise FormatError("manifest.json outputs lack 'delta'")
     if manifest["tp_count"] != len(manifest["paths"]):
         raise FormatError("manifest.json tp_count differs from its number of paths")
     paths = tuple(tuple(p) for p in manifest["paths"])

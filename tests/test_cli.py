@@ -158,8 +158,9 @@ def _swap_first_paths(manifest):
     lambda mf: mf.update(tp_count=mf["tp_count"] - 1),
     _swap_first_paths,
     lambda mf: mf["outputs"].append("y"),
+    lambda mf: mf["outputs"].remove("delta"),
 ], ids=["missing-key", "str-count", "int-flag", "str-paths", "count-mismatch",
-        "swapped-paths", "extra-output"])
+        "swapped-paths", "extra-output", "no-delta"])
 def test_run_suite_rejects_bad_manifest(files, tmp_path, capsys, corrupt):
     out = tmp_path / "suite"
     main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(out)])
@@ -172,6 +173,7 @@ def test_run_suite_rejects_bad_manifest(files, tmp_path, capsys, corrupt):
     assert main(["run-suite", "--iut", files["m1"], "--suite", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert "manifest" in err[0]  # the suite is blamed, not the implementation
 
 
 def _assert_one_error_line(capsys):

@@ -89,6 +89,45 @@ def test_fault_path_prefix_in_spec_language(four_state):
         assert not det.accepts(path)
 
 
+def _node_table(spec, m):
+    """Every (state, level) node's out-edges by the nested loop over all
+    nodes, the reference for the multigraph's implicit successor function."""
+    n, top = len(spec.states), m * len(spec.states)
+    step = {(src, label): dst for src, label, dst in spec.transitions}
+    outputs = set(spec.outputs)
+    table = {}
+    for i in range(n):
+        for k in range(top + 1):
+            out = []
+            for tok in spec.observable_alphabet:
+                j = step.get((i, tok))
+                if j is not None:
+                    if j > i:
+                        out.append((tok, (j, k)))
+                    elif k + 1 <= top:
+                        out.append((tok, (j, k + 1)))
+                elif tok in outputs:
+                    out.append((tok, "fail"))
+            table[(i, k)] = tuple(out)
+    return table
+
+
+def test_multigraph_matches_node_table():
+    """Seeded specs of 1-8 states at m = 1-4: the edges derived from ``out``
+    equal the full node table, in order, and stay acyclic."""
+    for seed in range(40):
+        spec = ensure_quiescence(random_iolts(GenParams(
+            states=1 + seed % 8, inputs=["a", "b"], outputs=["x", "y"],
+            input_enabled=seed % 3 != 0, seed=seed)))
+        m = 1 + seed % 4
+        g = build_multigraph(spec, m)
+        assert list(g.edges.items()) == list(_node_table(spec, m).items())
+        assert g.is_acyclic
+        assert g.node_count == len(g.edges) + 1
+        for path in enumerate_fault_paths(g, 200):
+            assert g.replay(path)[-1] == "fail"
+
+
 def test_tp_from_single_output_path():
     tp = path_to_test_purpose(("x",), inputs=("a",), outputs=("x",))
     assert tp.states == ("t0", "pass", "fail")
