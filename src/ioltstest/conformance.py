@@ -194,10 +194,10 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
 def _suite_verdict(ds: Dfsa, di: Dfsa, d: Dfsa, f: Dfsa, witness: str) -> Verdict:
     """The language-based verdict of det(IUT) ``di`` against the suite of the
     determinized specification ``ds`` for D = ``d`` and F = ``f``."""
-    suite = _suite_from_automata(ds, d, f)
+    dc, fc = complete(d), complete(f)
+    suite = _suite_from_automata(ds, dc, fc)
     stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet),
-                       d_states=complete(d).n_states,
-                       f_states=complete(f).n_states,
+                       d_states=dc.n_states, f_states=fc.n_states,
                        suite_states=suite.n_states)
     if witness == "cover":
         words = tuple(witnesses_transition_cover(di, suite))

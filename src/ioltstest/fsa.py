@@ -10,7 +10,8 @@ The algebra provides exactly what conformance-suite construction needs:
 completion, complement, product intersection and union, emptiness, and
 shortest accepted words.  Products are left unminimized on purpose so that
 suite-size bounds stay directly observable; only compiled regexes are
-minimized.
+minimized, by Hopcroft's refinement on block ids, whose quotient the
+breadth-first core numbers like every other automaton.
 
 Nondeterministic automata have one encoding, adjacency rows of
 ``(label, target)`` moves, and one subset construction, ``_subset_dfsa``,
@@ -177,8 +178,11 @@ def complete(a: Dfsa) -> Dfsa:
     """Make every (state, token) pair defined by routing gaps to a fresh sink.
 
     If the transition map is already total no sink is added and the automaton
-    is returned as-is (with the ``complete`` flag set).
+    is returned as-is (with the ``complete`` flag set).  An automaton already
+    flagged complete (the flag is checked on construction) is returned at once.
     """
+    if a.complete:
+        return a
     missing = [
         (s, tok)
         for s in range(a.n_states)
@@ -186,7 +190,7 @@ def complete(a: Dfsa) -> Dfsa:
         if (s, tok) not in a.transitions
     ]
     if not missing:
-        return a if a.complete else replace(a, complete=True)
+        return replace(a, complete=True)
     sink = a.n_states
     trans = dict(a.transitions)
     for pair in missing:
@@ -393,65 +397,47 @@ class _Nfa:
 
 
 def _minimize(a: Dfsa) -> Dfsa:
-    """Hopcroft partition refinement; expects a complete automaton."""
-    states = range(a.n_states)
-    finals = set(a.accepting)
-    nonfinals = set(states) - finals
-    partition: list[set[int]] = [s for s in (finals, nonfinals) if s]
-    work: list[set[int]] = [min(finals, nonfinals, key=len)] if finals and nonfinals else []
-    pre: dict[str, dict[int, set[int]]] = {tok: {} for tok in a.alphabet}
+    """Hopcroft's partition refinement on block ids (smaller-half rule), then
+    the quotient, numbered breadth-first; expects a complete automaton."""
+    pre: dict[str, list[list[int]]] = {tok: [[] for _ in range(a.n_states)]
+                                       for tok in a.alphabet}
     for (src, tok), dst in a.transitions.items():
-        pre[tok].setdefault(dst, set()).add(src)
-    while work:
-        splitter = work.pop()
-        for tok in a.alphabet:
-            x = set()
-            for dst in splitter:
-                x |= pre[tok].get(dst, set())
-            if not x:
-                continue
-            next_partition: list[set[int]] = []
-            for block in partition:
-                inter = block & x
-                diff = block - x
-                if inter and diff:
-                    next_partition.extend((inter, diff))
-                    if block in work:
-                        work.remove(block)
-                        work.extend((inter, diff))
-                    else:
-                        work.append(min(inter, diff, key=len))
-                else:
-                    next_partition.append(block)
-            partition = next_partition
-    block_of = {}
-    for bi, block in enumerate(partition):
+        pre[tok][dst].append(src)
+    blocks = [b for b in (set(a.accepting), set(range(a.n_states)) - a.accepting) if b]
+    blocks.sort(key=len)
+    block_of = [0] * a.n_states
+    for b, block in enumerate(blocks):
         for s in block:
-            block_of[s] = bi
-    reps = [min(block) for block in partition]
-    trans = {}
-    for bi, rep in enumerate(reps):
+            block_of[s] = b
+    work = {0} if len(blocks) == 2 else set()  # the smaller initial block
+    while work:
+        splitter = tuple(blocks[work.pop()])
         for tok in a.alphabet:
-            trans[(bi, tok)] = block_of[a.transitions[(rep, tok)]]
-    accepting = frozenset(bi for bi, block in enumerate(partition) if block & a.accepting)
-    return Dfsa(a.alphabet, len(partition), block_of[a.initial], accepting, trans, complete=True)
+            hit: dict[int, list[int]] = {}
+            for dst in splitter:
+                for src in pre[tok][dst]:
+                    hit.setdefault(block_of[src], []).append(src)
+            for b, inside in hit.items():
+                rest = blocks[b]
+                if len(inside) == len(rest):  # the splitter does not cut b
+                    continue
+                rest.difference_update(inside)
+                new = len(blocks)
+                blocks.append(set(inside))
+                for s in inside:
+                    block_of[s] = new
+                if b in work or len(inside) < len(rest):
+                    work.add(new)
+                else:
+                    work.add(b)
+    trans = a.transitions
 
+    def moves(b):
+        rep = next(iter(blocks[b]))
+        return [(tok, block_of[trans[(rep, tok)]]) for tok in a.alphabet]
 
-def _renumber_bfs(a: Dfsa) -> Dfsa:
-    """Canonical state numbering: breadth-first from initial, alphabet order."""
-    keys, _ = _explore(a.initial, a.moves)
-    order = {s: i for i, s in enumerate(keys)}
-    # unreachable states (none arise from our pipelines) are dropped; the
-    # transitions keep the insertion order of ``a``
-    trans = {
-        (order[s], tok): order[t]
-        for (s, tok), t in a.transitions.items()
-        if s in order and t in order
-    }
-    accepting = frozenset(order[s] for s in a.accepting if s in order)
-    n = len(order)
-    return Dfsa(a.alphabet, n, 0, accepting, trans,
-                complete=len(trans) == n * len(a.alphabet))
+    return _search_dfsa(a.alphabet, block_of[a.initial], moves,
+                        lambda b: next(iter(blocks[b])) in a.accepting)
 
 
 def _split_source(src: str) -> tuple[bool, list[str]]:
@@ -505,4 +491,4 @@ def compile_regex(src: str, alphabet: Sequence[str]) -> Dfsa:
     nfa = _Nfa()
     start, end = nfa.fragment(ast)
     dfsa = _subset_dfsa(nfa.rows, None, start, alpha, lambda subset: end in subset)
-    return _renumber_bfs(_minimize(complete(dfsa)))
+    return _minimize(complete(dfsa))

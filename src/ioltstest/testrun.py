@@ -1,24 +1,26 @@
 """Executing fault models against implementation models.
 
-``run_tp`` explores the synchronous product of a tester and the determinized
-implementation.  Stimuli flow tester-to-implementation (one token per tester
-state), observations flow back (any enabled output or quiescence).  The
-verdict is fail exactly when some product state pairs the tester's fail state
-with any implementation state; the witness is the shortest such word.
+``run_tp`` searches the synchronous product of a tester and the determinized
+implementation with the breadth-first core of ``fsa``.  Stimuli flow
+tester-to-implementation (one token per tester state), observations flow back
+(any enabled output or quiescence).  The verdict is fail exactly when some
+product state pairs the tester's fail state with any implementation state; the
+witness is the shortest such word, ties broken by alphabet order.
 
 Implementations may be underspecified: when the tester's stimulus is not an
 enabled input and no observation is possible either, that branch of the run is
-abandoned, flagged ``incomplete``, and counts as pass - conformance places no
-obligation on unspecified inputs.
+abandoned and counts as pass - conformance places no obligation on unspecified
+inputs.  A passing run with such a branch is flagged ``incomplete``; a failing
+run never is.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError
+from .fsa import _explore, _first_word
 from .iolts import Iolts, determinize, ensure_quiescence
 from .testgen import FaultModel, TestPurpose
 
@@ -65,33 +67,27 @@ def run_tp(iut: Iolts, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None, bo
     _check_alphabets(ci, tp.inputs, tp.outputs)
     di = determinize(ci)
     observed = set(tp.inputs)  # implementation outputs plus delta
-    seen = {(tp.initial, di.initial)}
-    queue: deque[tuple[int, int, tuple[str, ...]]] = deque(
-        [(tp.initial, di.initial, ())]
-    )
-    incomplete = False
-    while queue:
-        t, q, word = queue.popleft()
-        if t == tp.fail_index:
-            return "fail", word, incomplete
-        if t == tp.pass_index:
-            continue
-        moved = False
+    terminal = (tp.pass_index, tp.fail_index)
+
+    def moves(key):
+        t, q = key
+        if t in terminal:
+            return
         for tok in di.alphabet:
             q2 = di.step(q, tok)
-            if q2 is None:
-                continue
-            if tok not in observed and tok != tp.stimulus(t):
+            if q2 is None or (tok not in observed and tok != tp.stimulus(t)):
                 continue
             t2 = tp.step(t, tok)
-            if t2 is None:
-                continue
-            moved = True
-            if (t2, q2) not in seen:
-                seen.add((t2, q2))
-                queue.append((t2, q2, word + (tok,)))
-        if not moved:
-            incomplete = True
+            if t2 is not None:
+                yield tok, (t2, q2)
+
+    start = (tp.initial, di.initial)
+    witness = _first_word(start, moves, lambda key: key[0] == tp.fail_index)
+    if witness is not None:
+        return "fail", witness, False
+    keys, trans = _explore(start, moves)
+    moved = {i for i, _ in trans}
+    incomplete = any(i not in moved and key[0] not in terminal for i, key in enumerate(keys))
     return "pass", None, incomplete
 
 

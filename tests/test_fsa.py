@@ -21,6 +21,7 @@ from ioltstest import (
     shortest_witness,
     union,
 )
+from ioltstest.fsa import _minimize, _search_dfsa
 from ioltstest.modelgen import SplitMix64
 from conftest import M1_TEXT
 
@@ -89,6 +90,64 @@ def test_compile_empty_word_constant():
 def test_compile_is_minimal():
     # words {a, b}: initial, accept, sink
     assert compile_regex("a | b", ("a", "b")).n_states == 3
+
+
+def random_regex(rng, depth=3):
+    """A random token regex over ABX with ``|``, ``*``, grouping and %empty."""
+    pick = rng.below(6) if depth else 0
+    if pick == 0:
+        return ABX[rng.below(3)] if rng.below(8) else "%empty"
+    if pick == 1:
+        return f"( {random_regex(rng, depth - 1)} ) *"
+    if pick == 2:
+        return " | ".join(random_regex(rng, depth - 1) for _ in range(2 + rng.below(2)))
+    return " ".join(f"( {random_regex(rng, depth - 1)} )" for _ in range(2 + rng.below(2)))
+
+
+def moore_classes(d):
+    """Naive Moore refinement: the number of classes of equivalent states."""
+    cls = [s in d.accepting for s in range(d.n_states)]
+    while True:
+        sigs = [(cls[s], *(cls[d.transitions[(s, t)]] for t in d.alphabet))
+                for s in range(d.n_states)]
+        ids = {sig: i for i, sig in enumerate(dict.fromkeys(sigs))}
+        refined = [ids[sig] for sig in sigs]
+        if len(ids) == len(set(cls)):
+            return len(ids)
+        cls = refined
+
+
+def test_compile_is_minimal_and_bfs_numbered():
+    """No two compiled states are equivalent, and states are numbered in
+    breadth-first order over the alphabet, on random regexes and word lists."""
+    rng = SplitMix64(13)
+    sources = [random_regex(rng) for _ in range(150)]
+    for _ in range(150):
+        words = [" ".join(ABX[rng.below(3)] for _ in range(rng.below(6))) or "%empty"
+                 for _ in range(1 + rng.below(8))]
+        sources.append("#finite\n" + "\n".join(words))
+    for src in sources:
+        d = compile_regex(src, ABX)
+        assert d.complete and d.initial == 0
+        assert moore_classes(d) == d.n_states, src
+        order = [0]
+        for s in order:  # order grows while we walk it
+            for tok in d.alphabet:
+                t = d.transitions[(s, tok)]
+                if t not in order:
+                    order.append(t)
+        assert order == list(range(d.n_states)), src
+
+
+def test_minimize_random_automata():
+    """Hopcroft refinement agrees with Moore's on random complete automata,
+    which, unlike compiled regexes, exercise every work-set rule."""
+    for seed in range(1500):
+        a = random_dfsa(seed, max_states=12)
+        m = _minimize(a)
+        reachable = _search_dfsa(a.alphabet, a.initial, a.moves, a.accepting.__contains__)
+        assert m.n_states == moore_classes(m) == moore_classes(reachable), seed
+        assert equivalent(a, m), seed
 
 
 @pytest.mark.parametrize("src", ["a |", "( a", "a )", "* a", "a c"])

@@ -20,6 +20,7 @@ from ioltstest import (
     run_fault_model,
     run_tp,
     submachine,
+    tp_from_text,
 )
 
 
@@ -80,6 +81,24 @@ def test_incomplete_run_flagged(tp_x):
     verdict, witness, incomplete = run_tp(iut, tp_x)
     assert verdict == "pass"
     assert incomplete
+
+
+def test_failing_run_is_never_incomplete():
+    # the tester fails on x x; on y it reaches t2, where the implementation is
+    # stuck in a tau livelock, before the search reaches fail
+    iut = parse_model(
+        "states: q0 q1 q2 q3\ninitial: q0\ninputs: a\noutputs: x y\ntransitions:\n"
+        "q0 x q1\nq0 y q2\nq1 x q3\nq2 tau q2\n"
+    )
+    tp = tp_from_text(
+        "states: t0 t1 t2 pass fail\ninitial: t0\ninputs: x y delta\noutputs: a\n"
+        "transitions:\nt0 x t1\nt0 y t2\nt0 delta pass\nt0 a pass\n"
+        "t1 x fail\nt1 y pass\nt1 delta pass\nt1 a pass\n"
+        "t2 x pass\nt2 y pass\nt2 delta pass\nt2 a pass\n"
+        "pass x pass\npass y pass\npass delta pass\n"
+        "fail x fail\nfail y fail\nfail delta fail\n"
+    )
+    assert run_tp(iut, tp) == ("fail", ("x", "x"), False)
 
 
 def test_alphabet_compatibility_enforced(m1):
