@@ -4,9 +4,10 @@ Two independent decision routes are provided on purpose.  ``check_ioco`` walks
 the synchronized product of the determinized specification and implementation
 and reports the first output (or quiescence) the implementation offers that
 the specification does not.  ``check_lang`` builds a fault-suite automaton
-from desirable/forbidden languages (D, F) and decides conformance by product
-emptiness; with D = otr(spec) extended by one output and F empty it coincides
-with ioco, which the test suite exploits as a cross-oracle.
+from desirable/forbidden languages (D, F) and searches the implicit product of
+the determinized implementation and that suite, materializing it only for a
+transition cover; with D = otr(spec) extended by one output and F empty it
+coincides with ioco, which the test suite exploits as a cross-oracle.
 """
 
 from __future__ import annotations
@@ -17,13 +18,10 @@ from .errors import AlphabetMismatchError
 from .fsa import (
     Dfsa,
     _first_word,
+    _product_moves,
     _search_dfsa,
-    complement,
-    complete,
     empty_language,
     intersect,
-    shortest_witness,
-    union,
 )
 from .iolts import DELTA, Iolts, determinize, ensure_quiescence
 
@@ -123,7 +121,7 @@ def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
         return Verdict(True, (), stats)
     if witness == "single":
         return Verdict(False, (first_fault,), stats)
-    return _suite_verdict(ds, di, _ioco_desirable(ds, outputs),
+    return _suite_verdict(spec, di, _ioco_desirable(ds, outputs),
                           empty_language(ds.alphabet), "cover")
 
 
@@ -154,29 +152,35 @@ def _ioco_desirable(spec_det: Dfsa, outputs: set[str]) -> Dfsa:
                         lambda node: node is _FAULT or node[1])
 
 
-def _suite_from_automata(spec_det: Dfsa, d: Dfsa, f: Dfsa) -> Dfsa:
+def build_fault_suite(spec: Iolts, d: Dfsa, f: Dfsa) -> Dfsa:
+    """The complete suite automaton accepting every fault-revealing word:
+    (L(d) minus otr(spec)) plus (L(f) inside otr(spec)).
+
+    It is built in one breadth-first pass over keys (spec, D, F state), a
+    missing move going to a sink, with no intermediate completion or product.
+    State count stays within (n+1)^2 * |d| * |f| for n the determinized
+    specification size and |d|, |f| the completed operand sizes.
+    """
+    spec_det = determinize(ensure_quiescence(spec))
     if set(d.alphabet) != set(spec_det.alphabet) or set(f.alphabet) != set(spec_det.alphabet):
         raise AlphabetMismatchError(
             "desirable/forbidden languages must range over the specification's "
             "observable alphabet (delta included)"
         )
-    a1 = complete(spec_det)          # accepts otr(spec)
-    b1 = complement(a1)              # accepts the complement
-    dc = complete(d)
-    fc = complete(f)
-    a2 = intersect(fc, a1)           # forbidden and specified
-    b2 = intersect(dc, b1)           # desirable and unspecified
-    return union(a2, b2)
+    # Keys (spec, D, F state) in F's alphabet order, as union(intersect(F, spec),
+    # intersect(D, complement(spec))) has them once completed.  None is the sink
+    # of a missing move: no (None, token) pair is a transition, so it stays put.
+    # A key accepts if forbidden and specified, or desirable and unspecified.
+    s_step, d_step, f_step = spec_det.transitions.get, d.transitions.get, f.transitions.get
 
+    def moves(key):
+        s, x, y = key
+        return [(tok, (s_step((s, tok)), d_step((x, tok)), f_step((y, tok))))
+                for tok in f.alphabet]
 
-def build_fault_suite(spec: Iolts, d: Dfsa, f: Dfsa) -> Dfsa:
-    """The complete suite automaton accepting every fault-revealing word:
-    (L(d) minus otr(spec)) plus (L(f) inside otr(spec)).
-
-    State count stays within (n+1)^2 * |d| * |f| for n the determinized
-    specification size and |d|, |f| the completed operand sizes.
-    """
-    return _suite_from_automata(determinize(ensure_quiescence(spec)), d, f)
+    return _search_dfsa(f.alphabet, (spec_det.initial, d.initial, f.initial), moves,
+                        lambda k: k[2] in f.accepting if k[0] in spec_det.accepting
+                        else k[1] in d.accepting)
 
 
 def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
@@ -186,23 +190,22 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
     if witness not in WITNESS_STRATEGIES:
         raise ValueError(f"unknown witness strategy {witness!r}")
     _require_same_alphabets(spec, iut)
-    ds = determinize(ensure_quiescence(spec))
-    di = determinize(ensure_quiescence(iut))
-    return _suite_verdict(ds, di, d, f, witness)
+    return _suite_verdict(spec, determinize(ensure_quiescence(iut)), d, f, witness)
 
 
-def _suite_verdict(ds: Dfsa, di: Dfsa, d: Dfsa, f: Dfsa, witness: str) -> Verdict:
-    """The language-based verdict of det(IUT) ``di`` against the suite of the
-    determinized specification ``ds`` for D = ``d`` and F = ``f``."""
-    dc, fc = complete(d), complete(f)
-    suite = _suite_from_automata(ds, dc, fc)
-    stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet),
-                       d_states=dc.n_states, f_states=fc.n_states,
-                       suite_states=suite.n_states)
+def _suite_verdict(spec: Iolts, di: Dfsa, d: Dfsa, f: Dfsa, witness: str) -> Verdict:
+    """The language-based verdict of det(IUT) ``di`` against the suite of
+    ``spec`` for D = ``d`` and F = ``f``."""
+    ds, suite = determinize(ensure_quiescence(spec)), build_fault_suite(spec, d, f)
+    d_states, f_states = (a.n_states + (len(a.transitions) != a.n_states * len(a.alphabet))
+                          for a in (d, f))  # complete(a).n_states, without completing
+    stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet), d_states=d_states,
+                       f_states=f_states, suite_states=suite.n_states)
     if witness == "cover":
         words = tuple(witnesses_transition_cover(di, suite))
-    else:
-        w = shortest_witness(intersect(di, suite))
+    else:  # search intersect(di, suite) unbuilt; every det(IUT) state accepts
+        w = _first_word((di.initial, suite.initial), _product_moves(di, suite),
+                        lambda key: key[1] in suite.accepting)
         words = () if w is None else (w,)
     return Verdict(not words, words, stats)
 

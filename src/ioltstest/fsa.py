@@ -6,9 +6,9 @@ operators ``| * ( )`` plus ``%empty`` for the empty word; a multi-line source
 (or one introduced by a ``#finite`` directive) denotes the finite language with
 one word per line, and an empty source denotes the empty language.
 
-The algebra provides exactly what conformance-suite construction needs:
-completion, complement, product intersection and union, emptiness, and
-shortest accepted words.  Products are left unminimized on purpose so that
+The algebra provides completion, complement, product intersection and union,
+emptiness, and shortest accepted words; the conformance suite fuses them into
+one pass, which they serve as reference.  Products are left unminimized so that
 suite-size bounds stay directly observable; only compiled regexes are
 minimized, by Hopcroft's refinement on block ids, whose quotient the
 breadth-first core numbers like every other automaton.
@@ -206,25 +206,26 @@ def complement(a: Dfsa) -> Dfsa:
     return replace(c, accepting=frozenset(range(c.n_states)) - c.accepting)
 
 
+def _product_moves(a: Dfsa, b: Dfsa):
+    """Successors of a pair key in the a x b product, in a's alphabet order."""
+    a_step, b_step = a.transitions.get, b.transitions.get
+
+    def moves(pair):
+        pa, pb = pair
+        return [(tok, (qa, qb)) for tok in a.alphabet if (qa := a_step((pa, tok))) is not None
+                and (qb := b_step((pb, tok))) is not None]
+
+    return moves
+
+
 def _product(a: Dfsa, b: Dfsa, conjunction: bool) -> Dfsa:
     if set(a.alphabet) != set(b.alphabet):
         raise AlphabetMismatchError(
             "automata alphabets differ: "
             f"{sorted(set(a.alphabet) ^ set(b.alphabet))} not shared"
         )
-    a_step, b_step = a.transitions.get, b.transitions.get
-
-    def moves(pair):
-        pa, pb = pair
-        for tok in a.alphabet:
-            qa = a_step((pa, tok))
-            if qa is not None:
-                qb = b_step((pb, tok))
-                if qb is not None:
-                    yield tok, (qa, qb)
-
     accept = all if conjunction else any
-    return _search_dfsa(a.alphabet, (a.initial, b.initial), moves,
+    return _search_dfsa(a.alphabet, (a.initial, b.initial), _product_moves(a, b),
                         lambda k: accept((k[0] in a.accepting, k[1] in b.accepting)))
 
 

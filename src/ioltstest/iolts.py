@@ -44,7 +44,9 @@ class Iolts:
 
     ``outputs`` contains ``delta`` once the model has been quiescence-completed;
     plain user models never mention ``delta``, and ``tau`` appears only as a
-    transition label.  Instances are immutable and safe to share.
+    transition label.  Instances are immutable and safe to share; each caches its
+    adjacency rows, ``ensure_quiescence`` and ``determinize`` on first use, and
+    the caches take no part in equality or hashing.
     """
 
     states: tuple[str, ...]
@@ -94,6 +96,17 @@ class Iolts:
         for src, label, dst in self.transitions:
             out[src].append((label, dst))
         return tuple(tuple(row) for row in out)
+
+    @cached_property
+    def _quiescence_completion(self) -> Iolts:
+        if self.has_delta:
+            raise FormatError("model mentions delta but is not quiescence-completed")
+        return complete_quiescence(self)
+
+    @cached_property
+    def _determinization(self) -> Dfsa:
+        return _subset_dfsa(self._adjacency, TAU, self.initial, self.observable_alphabet,
+                            lambda subset: True)
 
     def transitions_from(self, state: int) -> tuple[tuple[str, int], ...]:
         return self._adjacency[state]
@@ -269,11 +282,7 @@ def ensure_quiescence(m: Iolts) -> Iolts:
     A model that mentions delta without being structurally completed is
     rejected: user-supplied delta is forbidden.
     """
-    if m.is_quiescence_completed:
-        return m
-    if m.has_delta:
-        raise FormatError("model mentions delta but is not quiescence-completed")
-    return complete_quiescence(m)
+    return m if m.is_quiescence_completed else m._quiescence_completion
 
 
 # --- observable semantics ---------------------------------------------------
@@ -298,11 +307,11 @@ def determinize(m: Iolts) -> Dfsa:
     closed language, hence the all-accepting state set).  Missing transitions
     stay missing: the empty subset is never materialized.  Requires a
     quiescence-completed model so that delta is part of the token alphabet.
+    The automaton is built once per model and shared, so treat it as read-only.
     """
     if not m.is_quiescence_completed:
         raise FormatError("determinize requires a quiescence-completed model")
-    return _subset_dfsa(m._adjacency, TAU, m.initial, m.observable_alphabet,
-                        lambda subset: True)
+    return m._determinization
 
 
 def traces_bounded(m: Iolts, depth: int) -> set[tuple[str, ...]]:

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError
-from .fsa import _explore, _first_word
+from .fsa import _explore
 from .iolts import Iolts, determinize, ensure_quiescence
 from .testgen import FaultModel, TestPurpose
 
@@ -81,14 +81,19 @@ def run_tp(iut: Iolts, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None, bo
             if t2 is not None:
                 yield tok, (t2, q2)
 
-    start = (tp.initial, di.initial)
-    witness = _first_word(start, moves, lambda key: key[0] == tp.fail_index)
-    if witness is not None:
-        return "fail", witness, False
-    keys, trans = _explore(start, moves)
-    moved = {i for i, _ in trans}
-    incomplete = any(i not in moved and key[0] not in terminal for i, key in enumerate(keys))
-    return "pass", None, incomplete
+    keys, trans = _explore((tp.initial, di.initial), moves)
+    fail = next((j for j, key in enumerate(keys) if key[0] == tp.fail_index), None)
+    if fail is None:  # incomplete: some non-terminal key has no move
+        stuck = sum(key[0] not in terminal for key in keys) - len({i for i, _ in trans})
+        return "pass", None, stuck > 0
+    # each key's first-discovery edge is its earliest entry in trans; followed back
+    # from the lowest-numbered fail key, these edges spell _first_word's word
+    parent = {j: (i, tok) for (i, tok), j in reversed(trans.items())}
+    word = []
+    while fail:
+        fail, tok = parent[fail]
+        word.append(tok)
+    return "fail", tuple(reversed(word)), False
 
 
 def _check_alphabets(ci: Iolts, observed: tuple[str, ...], emitted: tuple[str, ...]) -> None:

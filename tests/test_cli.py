@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from ioltstest import cli
+from ioltstest import (
+    build_fault_suite,
+    cli,
+    compile_regex,
+    complete,
+    ensure_quiescence,
+    parse_model,
+)
 from ioltstest.cli import main
 from conftest import FOUR_STATE_TEXT, M1_TEXT, M3_TEXT
 
@@ -118,6 +125,30 @@ def test_check_lang_finite_word_file(tmp_path, capsys):
     assert main(["check-lang", "--spec", str(spec), "--iut", str(spec),
                  "--desirable", str(word)]) == 0
     capsys.readouterr()
+
+
+def test_check_lang_json_stats_are_operand_and_suite_sizes(tmp_path, capsys):
+    """--json writes the sizes of the completed D and F and of the suite; the
+    stdout bound line is computed from them."""
+    spec_text = ("states: s0 s1\ninitial: s0\ninputs: a b\noutputs: x\n"
+                 "transitions:\ns0 a s1\ns1 x s0\n")
+    files = {"spec.iolts": spec_text, "d.regex": "( a | b ) * a x\n", "f.regex": "b a x\n",
+             "iut.iolts": "states: q0 q1 q2 q3\ninitial: q0\ninputs: a b\noutputs: x\n"
+                          "transitions:\nq0 a q1\nq1 x q0\nq0 b q2\nq2 a q3\nq3 x q2\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "verdict.json"
+    rc = main(["check-lang", "--spec", str(tmp_path / "spec.iolts"),
+               "--iut", str(tmp_path / "iut.iolts"), "--desirable", str(tmp_path / "d.regex"),
+               "--forbidden", str(tmp_path / "f.regex"), "--json", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "suite states: 12 (bound 180: ok)"
+    stats = json.loads(out.read_text())["stats"]
+    spec = parse_model(spec_text)
+    alpha = ensure_quiescence(spec).observable_alphabet
+    d, f = (compile_regex(files[n], alpha) for n in ("d.regex", "f.regex"))
+    assert (stats["suite_states"], stats["d_states"], stats["f_states"]) == (
+        build_fault_suite(spec, d, f).n_states, complete(d).n_states, complete(f).n_states)
 
 
 def test_gen_suite_writes_manifest(files, tmp_path, capsys):

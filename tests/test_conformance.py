@@ -5,11 +5,15 @@ import pytest
 from ioltstest import (
     AlphabetMismatchError,
     GenParams,
+    Iolts,
+    SplitMix64,
     bounded_language,
     build_fault_suite,
     check_ioco,
     check_lang,
     compile_regex,
+    complement,
+    complete,
     determinize,
     empty_language,
     ensure_quiescence,
@@ -19,11 +23,14 @@ from ioltstest import (
     mutate,
     parse_model,
     random_iolts,
+    shortest_witness,
     submachine,
+    union,
     verdict_json,
     witnesses_transition_cover,
 )
 from ioltstest.fsa import Dfsa
+from test_acceptance import _random_regex
 
 
 def obs_alphabet(m):
@@ -313,3 +320,71 @@ def test_relations_agree_on_ioco_witnesses():
         assert check_lang(spec, iut, d, f).witnesses == direct.witnesses
         faults += not direct.conforms
     assert faults >= 100
+
+
+def _suite_cases():
+    """Seeded (spec, iut, D, F) cases on deterministic and nondeterministic
+    specs: a partial D (ioco-shaped), empty F, random regex D and F (F's
+    alphabet sometimes in reverse order), IUTs that declare their tokens in
+    reverse order, and an output-free spec whose determinization is complete."""
+    closed = parse_model("states: s0 s1\ninitial: s0\ninputs: a b\noutputs:\n"
+                         "transitions:\ns0 a s1\ns0 b s0\ns1 a s1\ns1 b s0\n")
+    assert determinize(ensure_quiescence(closed)).complete
+    for seed in range(80):
+        rng = SplitMix64(0x5A17 + seed)
+        spec = closed if seed % 20 == 0 else random_iolts(GenParams(
+            states=1 + rng.below(6), inputs=["a", "b"], outputs=["x", "y"],
+            deterministic=seed % 2 == 0, input_enabled=False, density=0.5,
+            seed=rng.next_u64()))
+        iut = random_iolts(GenParams(states=1 + rng.below(5), inputs=["a", "b"],
+                                     outputs=[] if spec is closed else ["x", "y"],
+                                     deterministic=False, input_enabled=False,
+                                     density=0.45, seed=rng.next_u64()))
+        if seed % 4 == 1:
+            iut = submachine(spec, 0.6, seed)
+        reversed_iut = seed % 5 < 2
+        if reversed_iut:
+            iut = Iolts(iut.states, iut.initial, iut.inputs[::-1], iut.outputs[::-1],
+                        iut.transitions)
+        alpha = obs_alphabet(spec)
+        f_alpha = alpha[::-1] if seed % 3 == 0 else alpha
+        d_rand = compile_regex(_random_regex(rng, alpha, rng.below(5)), alpha)
+        f_rand = compile_regex(_random_regex(rng, f_alpha, rng.below(5)), f_alpha)
+        for d, f in ((ioco_desirable_language(spec), empty_language(alpha)),
+                     (d_rand, f_rand), (ioco_desirable_language(spec), f_rand),
+                     (d_rand, empty_language(f_alpha))):
+            yield spec, iut, d, f, reversed_iut
+
+
+def test_fault_suite_matches_product_construction():
+    """The one-pass suite is the union of completed products, state for state
+    and transition for transition, in the same order."""
+    partial = 0
+    for spec, _, d, f, _ in _suite_cases():
+        ds = complete(determinize(ensure_quiescence(spec)))
+        expected = union(intersect(complete(f), ds), intersect(complete(d), complement(ds)))
+        got = build_fault_suite(spec, d, f)
+        assert (got.alphabet, got.n_states, got.initial, got.accepting, got.complete) == (
+            expected.alphabet, expected.n_states, expected.initial, expected.accepting,
+            expected.complete)
+        assert list(got.transitions.items()) == list(expected.transitions.items())
+        partial += not d.complete
+    assert partial >= 80
+
+
+def test_single_witness_matches_materialized_product():
+    """check_lang's single witness is the shortest word of intersect(det(IUT),
+    suite), ties broken in the IUT's token order; its stats are the sizes of
+    the completed operands and of the suite."""
+    faults = reordered = 0
+    for spec, iut, d, f, reversed_iut in _suite_cases():
+        di = determinize(ensure_quiescence(iut))
+        suite = build_fault_suite(spec, d, f)
+        w = shortest_witness(intersect(di, suite))
+        v = check_lang(spec, iut, d, f)
+        assert v.witnesses == (() if w is None else (w,))
+        assert (v.stats.d_states, v.stats.f_states, v.stats.suite_states) == (
+            complete(d).n_states, complete(f).n_states, suite.n_states)
+        faults += w is not None
+        reordered += reversed_iut and w != shortest_witness(intersect(suite, di))
+    assert faults >= 100 and reordered >= 5

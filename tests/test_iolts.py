@@ -102,6 +102,20 @@ def test_ensure_quiescence_idempotent(m1):
     assert ensure_quiescence(c) is c
 
 
+def test_completion_and_determinization_are_computed_once(m1):
+    c = ensure_quiescence(m1)
+    assert ensure_quiescence(m1) is c
+    assert determinize(c) is determinize(c)
+    # the caches take no part in equality or hashing
+    twin = parse_model(M1_TEXT)
+    assert twin == m1 and hash(twin) == hash(m1)
+    assert ensure_quiescence(twin) == c and hash(ensure_quiescence(twin)) == hash(c)
+    bad = parse_model(M1_TEXT.replace("outputs: x", "outputs: x delta"))
+    for _ in range(2):  # a rejected model is rejected on every call
+        with pytest.raises(FormatError, match="mentions delta"):
+            ensure_quiescence(bad)
+
+
 def test_determinize_m1(m1):
     d = determinize(complete_quiescence(m1))
     assert d.n_states == 2

@@ -101,6 +101,21 @@ def test_failing_run_is_never_incomplete():
     assert run_tp(iut, tp) == ("fail", ("x", "x"), False)
 
 
+def test_fail_witness_is_the_first_discovered_word():
+    # the product key (fail, q0) is entered from t0 on x and, later in the
+    # search, from t1 on x: the witness is the word of its first discovery
+    iut = parse_model(
+        "states: q0\ninitial: q0\ninputs: a\noutputs: x\ntransitions:\nq0 a q0\nq0 x q0\n"
+    )
+    tp = tp_from_text(
+        "states: t0 t1 pass fail\ninitial: t0\ninputs: x delta\noutputs: a\n"
+        "transitions:\nt0 a t1\nt0 x fail\nt0 delta pass\n"
+        "t1 a pass\nt1 x fail\nt1 delta pass\n"
+        "pass x pass\npass delta pass\nfail x fail\nfail delta fail\n"
+    )
+    assert run_tp(iut, tp) == ("fail", ("x",), False)
+
+
 def test_alphabet_compatibility_enforced(m1):
     tp = path_to_test_purpose(("y",), inputs=("a",), outputs=("y",))
     with pytest.raises(AlphabetMismatchError):
