@@ -121,7 +121,7 @@ def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
         return Verdict(True, (), stats)
     if witness == "single":
         return Verdict(False, (first_fault,), stats)
-    return _suite_verdict(spec, di, _ioco_desirable(ds, outputs),
+    return _suite_verdict(spec, di, ioco_desirable_language(spec),
                           empty_language(ds.alphabet), "cover")
 
 
@@ -129,12 +129,9 @@ def ioco_desirable_language(spec: Iolts) -> Dfsa:
     """The language otr(spec)·(outputs ∪ {delta}), the D that makes
     language-based checking coincide with ioco when F is empty."""
     cs = ensure_quiescence(spec)
-    ds = determinize(cs)
+    spec_det = determinize(cs)
     outputs = set(cs.outputs)
-    return _ioco_desirable(ds, outputs)
 
-
-def _ioco_desirable(spec_det: Dfsa, outputs: set[str]) -> Dfsa:
     # States are (det state, last-token-was-output); the one extra accepting
     # state _FAULT catches spec traces extended by an output the spec does not
     # enable.
@@ -219,57 +216,46 @@ def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
     alphabet declaration order; the list is empty iff the product language is.
     """
     prod = intersect(iut, suite)
-    # distance-to-accepting by backward search
-    radj: dict[int, list[tuple[int, str]]] = {}
-    for (src, tok), dst in prod.transitions.items():
-        radj.setdefault(dst, []).append((src, tok))
-    dist: dict[int, int] = {s: 0 for s in prod.accepting}
-    frontier = list(prod.accepting)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for p, _ in radj.get(s, ()):
-                if p not in dist:
-                    dist[p] = dist[s] + 1
-                    nxt.append(p)
-        frontier = nxt
-    if prod.initial not in dist:
+    if not prod.accepting:  # every product state is reachable
         return []
+    # distance to acceptance, breadth-first backwards from the accepting states
+    preds: list[list[int]] = [[] for _ in range(prod.n_states)]
+    for (src, _), dst in prod.transitions.items():
+        preds[dst].append(src)
+    order = list(prod.accepting)
+    dist = [0 if s in prod.accepting else -1 for s in range(prod.n_states)]
+    for s in order:  # order grows while we walk it
+        for p in preds[s]:
+            if dist[p] < 0:
+                dist[p] = dist[s] + 1
+                order.append(p)
+    # words as alphabet ranks.  Least shortest suffix per state, by increasing
+    # distance: the first move in alphabet order that gets one step closer.
+    rank = {tok: i for i, tok in enumerate(prod.alphabet)}
+    step = prod.transitions.get
+    suffix = {s: () for s in prod.accepting}
+    for s in order[len(suffix):]:
+        suffix[s] = next((rank[tok],) + suffix[t] for tok in prod.alphabet
+                         if (t := step((s, tok))) is not None and dist[t] == dist[s] - 1)
     # shortest prefix per state, lexicographic in alphabet order: the product
     # is numbered breadth-first, so its transitions come in search order
-    prefix: dict[int, tuple[str, ...]] = {prod.initial: ()}
+    prefix = {prod.initial: ()}
     for (src, tok), dst in prod.transitions.items():
         if dst not in prefix:
-            prefix[dst] = prefix[src] + (tok,)
-
-    def suffix(state: int) -> tuple[str, ...]:
-        out: list[str] = []
-        while state not in prod.accepting:
-            for tok in prod.alphabet:
-                t = prod.step(state, tok)
-                if t is not None and dist.get(t, -1) == dist[state] - 1:
-                    out.append(tok)
-                    state = t
-                    break
-        return tuple(out)
-
-    relevant = [(src, tok, dst) for (src, tok), dst in prod.transitions.items()
-                if dst in dist]
-    if not relevant:
+            prefix[dst] = prefix[src] + (rank[tok],)
+    candidates = [(prefix[src] + (rank[tok],) + suffix[dst], (src, tok))
+                  for (src, tok), dst in prod.transitions.items() if dist[dst] >= 0]
+    if not candidates:
         # the fault language is exactly {empty word}: nothing to cover,
         # but the list must be nonempty for a nonempty language
         return [()]
-    rank = {tok: i for i, tok in enumerate(prod.alphabet)}
-    candidates = []
-    for src, tok, dst in relevant:
-        word = prefix[src] + (tok,) + suffix(dst)
-        candidates.append((len(word), tuple(rank[t] for t in word), word, (src, tok)))
-    candidates.sort(key=lambda c: (c[0], c[1]))
+    candidates.sort(key=lambda c: (len(c[0]), c[0]))
     covered: set[tuple[int, str]] = set()
     words: list[tuple[str, ...]] = []
-    for _, _, word, edge in candidates:
+    for ranks, edge in candidates:
         if edge in covered:
             continue
+        word = tuple(prod.alphabet[r] for r in ranks)
         words.append(word)
         state = prod.initial
         for tok in word:

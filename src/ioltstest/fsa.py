@@ -22,6 +22,7 @@ alternation of its words) and ``iolts.determinize`` (``tau`` is silent).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, FormatError
@@ -54,21 +55,21 @@ class Dfsa:
             raise FormatError("duplicate token in automaton alphabet")
         if self.n_states < 1:
             raise FormatError("automaton needs at least one state")
-        if not 0 <= self.initial < self.n_states:
+        states = range(self.n_states)
+        if self.initial not in states:
             raise FormatError("initial state out of range")
-        if not all(0 <= s < self.n_states for s in self.accepting):
+        if not all(s in states for s in self.accepting):
             raise FormatError("accepting state out of range")
         tokens = set(self.alphabet)
         for (src, tok), dst in self.transitions.items():
-            if not (0 <= src < self.n_states and 0 <= dst < self.n_states):
+            if src not in states or dst not in states:
                 raise FormatError("transition endpoint out of range")
             if tok not in tokens:
                 raise FormatError(f"transition token {tok!r} not in alphabet")
-        if self.complete:
-            for s in range(self.n_states):
-                for tok in self.alphabet:
-                    if (s, tok) not in self.transitions:
-                        raise FormatError("automaton flagged complete is partial")
+        # the keys are distinct (state, token) pairs in range, so a full count
+        # means every pair is defined
+        if self.complete and len(self.transitions) != self.n_states * len(self.alphabet):
+            raise FormatError("automaton flagged complete is partial")
 
     def step(self, state: int, token: str) -> int | None:
         return self.transitions.get((state, token))
@@ -144,8 +145,9 @@ def _subset_dfsa(rows, internal, start: int, alphabet: tuple[str, ...], accepts)
     ``(label, target)`` moves of state s, and moves labelled ``internal`` are
     silent.  A key is a set of states closed under silent moves, so a label
     with no targets is a missing move, never an empty subset.  Subset S
-    accepts iff accepts(S)."""
-    def closure(states) -> frozenset[int]:
+    accepts iff accepts(S).  Each distinct target set is closed once."""
+    @cache
+    def closure(states: frozenset[int]) -> frozenset[int]:
         seen = set(states)
         stack = list(seen)
         while stack:
@@ -163,9 +165,9 @@ def _subset_dfsa(rows, internal, start: int, alphabet: tuple[str, ...], accepts)
                     targets.setdefault(label, set()).add(t)
         for tok in alphabet:
             if tok in targets:
-                yield tok, closure(targets[tok])
+                yield tok, closure(frozenset(targets[tok]))
 
-    return _search_dfsa(alphabet, closure((start,)), moves, accepts)
+    return _search_dfsa(alphabet, closure(frozenset((start,))), moves, accepts)
 
 
 def empty_language(alphabet: Sequence[str]) -> Dfsa:

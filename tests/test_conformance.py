@@ -1,5 +1,7 @@
 """Both conformance checkers plus the fault-suite construction."""
 
+from dataclasses import replace
+
 import pytest
 
 from ioltstest import (
@@ -388,3 +390,56 @@ def test_single_witness_matches_materialized_product():
         faults += w is not None
         reordered += reversed_iut and w != shortest_witness(intersect(suite, di))
     assert faults >= 100 and reordered >= 5
+
+
+def _reference_cover(di, suite):
+    """The cover from the core's shortest words: a first-found prefix to each
+    source and a least shortest suffix from each target, candidates sorted by
+    (length, alphabet ranks), then chosen greedily."""
+    prod = intersect(di, suite)
+    if shortest_witness(prod) is None:
+        return []
+    prefix = [shortest_witness(replace(prod, accepting=frozenset({s})))
+              for s in range(prod.n_states)]
+    suffix = [shortest_witness(replace(prod, initial=t)) for t in range(prod.n_states)]
+    candidates = [(prefix[src] + (tok,) + suffix[dst], (src, tok))
+                  for (src, tok), dst in prod.transitions.items() if suffix[dst] is not None]
+    if not candidates:
+        return [()]
+    rank = {tok: i for i, tok in enumerate(prod.alphabet)}
+    candidates.sort(key=lambda c: (len(c[0]), [rank[t] for t in c[0]]))
+    covered, words = set(), []
+    for word, edge in candidates:
+        if edge not in covered:
+            words.append(word)
+            state = prod.initial
+            for tok in word:
+                covered.add((state, tok))
+                state = prod.transitions[(state, tok)]
+    return words
+
+
+def test_cover_matches_shortest_word_reference():
+    """The cover's own layering yields the words of the reference built from
+    shortest_witness, on deterministic and nondeterministic specs against
+    mutant and submachine IUTs, with ioco-shaped and random-regex D and F."""
+    faults = 0
+    for seed in range(120):
+        rng = SplitMix64(0xC0 + seed)
+        spec = random_iolts(GenParams(states=2 + seed % 7, inputs=["a", "b"],
+                                      outputs=["x", "y"], deterministic=seed % 4 < 2,
+                                      input_enabled=False, density=0.5,
+                                      seed=rng.next_u64()))
+        iut = submachine(spec, 0.6, seed) if seed % 2 else mutate(spec, 0.2, seed).model
+        alpha = obs_alphabet(spec)
+        if seed % 3:
+            d, f = ioco_desirable_language(spec), empty_language(alpha)
+        else:
+            d = compile_regex(_random_regex(rng, alpha, rng.below(5)), alpha)
+            f = compile_regex(_random_regex(rng, alpha, rng.below(5)), alpha)
+        di = determinize(ensure_quiescence(iut))
+        suite = build_fault_suite(spec, d, f)
+        words = witnesses_transition_cover(di, suite)
+        assert words == _reference_cover(di, suite), seed
+        faults += bool(words)
+    assert faults >= 40

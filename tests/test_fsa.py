@@ -194,6 +194,22 @@ def test_recompilation_is_language_equivalent():
     assert equivalent(a, b)
 
 
+@pytest.mark.parametrize("alphabet,n,initial,accepting,trans,flagged,message", [
+    (("a", "a"), 1, 0, set(), {}, False, "duplicate token"),
+    (("a",), 0, 0, set(), {}, False, "at least one state"),
+    (("a",), 2, 2, set(), {}, False, "initial state"),
+    (("a",), 2, 0, {-1}, {}, False, "accepting state"),
+    (("a",), 2, 0, set(), {(0, "a"): 2}, False, "endpoint"),
+    (("a",), 2, 0, set(), {(0.5, "a"): 1}, False, "endpoint"),
+    (("a",), 2, 0, set(), {(0, "b"): 1}, False, "not in alphabet"),
+    (("a", "b"), 2, 0, set(), {(0, "a"): 1, (1, "a"): 1, (1, "b"): 0}, True,
+     "flagged complete is partial"),
+])
+def test_dfsa_rejects_malformed(alphabet, n, initial, accepting, trans, flagged, message):
+    with pytest.raises(FormatError, match=message):
+        Dfsa(alphabet, n, initial, frozenset(accepting), trans, complete=flagged)
+
+
 def test_complete_idempotent():
     d = compile_regex("a x", ABX)
     assert complete(d) is d
