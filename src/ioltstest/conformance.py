@@ -245,13 +245,10 @@ def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
             prefix[dst] = prefix[src] + (rank[tok],)
     candidates = [(prefix[src] + (rank[tok],) + suffix[dst], (src, tok))
                   for (src, tok), dst in prod.transitions.items() if dist[dst] >= 0]
-    if not candidates:
-        # the fault language is exactly {empty word}: nothing to cover,
-        # but the list must be nonempty for a nonempty language
-        return [()]
     candidates.sort(key=lambda c: (len(c[0]), c[0]))
     covered: set[tuple[int, str]] = set()
-    words: list[tuple[str, ...]] = []
+    # an accepting initial state makes the empty word the shortest fault
+    words: list[tuple[str, ...]] = [()] if prod.initial in prod.accepting else []
     for ranks, edge in candidates:
         if edge in covered:
             continue

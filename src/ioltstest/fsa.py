@@ -15,8 +15,9 @@ breadth-first core numbers like every other automaton.
 
 Nondeterministic automata have one encoding, adjacency rows of
 ``(label, target)`` moves, and one subset construction, ``_subset_dfsa``,
-shared by compiled regexes (Thompson's construction; a word list is the
-alternation of its words) and ``iolts.determinize`` (``tau`` is silent).
+shared by compiled regexes and ``iolts.determinize`` (``tau`` is silent).  The
+regex parser emits Thompson's construction straight into such rows, with no
+syntax tree in between; a word list is the alternation of its words.
 """
 
 from __future__ import annotations
@@ -285,16 +286,48 @@ def bounded_language(a: Dfsa, depth: int) -> set[tuple[str, ...]]:
 
 
 # --- token-regex compilation -------------------------------------------------
-
-# AST nodes are tagged tuples; "cat" and "alt" take any number of parts:
-#   ("eps",)              the empty word
-#   ("lit", token)
-#   ("cat", part, part, ...)
-#   ("alt", part, part, ...)
-#   ("star", inner)
+# The parser emits Thompson's construction as it goes: a fragment is a
+# ``(start, end)`` pair of states in one list of adjacency rows, where
+# ``rows[s]`` lists the ``(label, target)`` moves of state s and label None is
+# an empty move.  No move enters a fragment's start or leaves its end, so
+# fragments compose by empty moves alone.
 
 
-def _parse_tokens(tokens: list[str], alphabet: set[str]):
+def _literal(rows: list, tok: str | None, alphabet: set[str]) -> tuple[int, int]:
+    """One move on ``tok``; None is the empty word."""
+    if tok is not None and tok not in alphabet:
+        raise FormatError(f"regex literal {tok!r} not in alphabet")
+    rows += ([(tok, len(rows) + 1)], [])
+    return len(rows) - 2, len(rows) - 1
+
+
+def _concat(rows: list, parts: list[tuple[int, int]]) -> tuple[int, int]:
+    for (_, end), (start, _) in zip(parts, parts[1:]):
+        rows[end].append((None, start))
+    return parts[0][0], parts[-1][1]
+
+
+def _alternate(rows: list, parts: list[tuple[int, int]]) -> tuple[int, int]:
+    if len(parts) == 1:
+        return parts[0]
+    start, end = len(rows), len(rows) + 1
+    rows += ([(None, s) for s, _ in parts], [])
+    for _, e in parts:
+        rows[e].append((None, end))
+    return start, end
+
+
+def _star(rows: list, part: tuple[int, int]) -> tuple[int, int]:
+    s, e = part
+    start, end = len(rows), len(rows) + 1
+    rows += ([(None, end), (None, s)], [])
+    rows[e] += [(None, s), (None, end)]
+    return start, end
+
+
+def _parse_regex(tokens: list[str], alphabet: set[str], rows: list) -> tuple[int, int]:
+    """Recursive descent over ``| * ( )`` and ``%empty``; returns the fragment
+    of the whole regex."""
     pos = 0
     depth = 0
 
@@ -312,7 +345,7 @@ def _parse_tokens(tokens: list[str], alphabet: set[str]):
         while peek() == "|":
             take()
             alts.append(parse_seq())
-        return alts[0] if len(alts) == 1 else ("alt", *alts)
+        return _alternate(rows, alts)
 
     def parse_seq():
         items = []
@@ -320,15 +353,14 @@ def _parse_tokens(tokens: list[str], alphabet: set[str]):
             items.append(parse_item())
         if not items:
             raise FormatError("regex syntax error: empty alternative")
-        return items[0] if len(items) == 1 else ("cat", *items)
+        return _concat(rows, items)
 
     def parse_item():
-        node = parse_atom()
+        part = parse_atom()
         while peek() == "*":
             take()
-            if node[0] != "star":  # (r*)* = r*
-                node = ("star", node)
-        return node
+            part = _star(rows, part)
+        return part
 
     def parse_atom():
         nonlocal depth
@@ -338,65 +370,21 @@ def _parse_tokens(tokens: list[str], alphabet: set[str]):
             depth += 1
             if depth > _MAX_NESTING:
                 raise FormatError(f"regex nests deeper than {_MAX_NESTING} parentheses")
-            node = parse_alt()
+            part = parse_alt()
             if peek() != ")":
                 raise FormatError("regex syntax error: unbalanced '('")
             take()
             depth -= 1
-            return node
+            return part
         if tok in (")", "|", "*", None):
             raise FormatError(f"regex syntax error near {tok!r}")
         take()
-        if tok == _EMPTY_WORD:
-            return ("eps",)
-        if tok not in alphabet:
-            raise FormatError(f"regex literal {tok!r} not in alphabet")
-        return ("lit", tok)
+        return _literal(rows, None if tok == _EMPTY_WORD else tok, alphabet)
 
-    node = parse_alt()
+    part = parse_alt()
     if pos != len(tokens):
         raise FormatError(f"regex syntax error: trailing {tokens[pos]!r}")
-    return node
-
-
-class _Nfa:
-    """Thompson-construction scratch space: ``rows[s]`` lists the
-    ``(label, target)`` moves of state s, label None for an empty move."""
-
-    def __init__(self):
-        self.rows: list[list[tuple[str | None, int]]] = []
-
-    def new_state(self) -> int:
-        self.rows.append([])
-        return len(self.rows) - 1
-
-    def fragment(self, ast) -> tuple[int, int]:
-        tag = ast[0]
-        rows = self.rows
-        start, end = self.new_state(), self.new_state()
-        if tag == "eps":
-            rows[start].append((None, end))
-        elif tag == "lit":
-            rows[start].append((ast[1], end))
-        elif tag == "cat":
-            last = start
-            for sub in ast[1:]:
-                s, e = self.fragment(sub)
-                rows[last].append((None, s))
-                last = e
-            rows[last].append((None, end))
-        elif tag == "alt":
-            for sub in ast[1:]:
-                s, e = self.fragment(sub)
-                rows[start].append((None, s))
-                rows[e].append((None, end))
-        elif tag == "star":
-            s, e = self.fragment(ast[1])
-            rows[start].extend(((None, end), (None, s)))
-            rows[e].extend(((None, s), (None, end)))
-        else:  # pragma: no cover - internal invariant
-            raise AssertionError(f"unknown ast node {tag}")
-        return start, end
+    return part
 
 
 def _minimize(a: Dfsa) -> Dfsa:
@@ -479,19 +467,13 @@ def compile_regex(src: str, alphabet: Sequence[str]) -> Dfsa:
     tokens_set = set(alpha)
     if not lines:
         return empty_language(alpha)
+    rows: list[list[tuple[str | None, int]]] = []
     if finite or len(lines) > 1:
-        # one alternative per word; ("cat", ("eps",)) is the empty word
-        words = []
-        for ln in lines:
-            word = () if ln == _EMPTY_WORD else ln.split()
-            for tok in word:
-                if tok not in tokens_set:
-                    raise FormatError(f"regex literal {tok!r} not in alphabet")
-            words.append(("cat", ("eps",), *(("lit", tok) for tok in word)))
-        ast = ("alt", *words)
+        # one alternative per word; a line "%empty" is the empty word
+        words = [[None] if ln == _EMPTY_WORD else ln.split() for ln in lines]
+        start, end = _alternate(rows, [_concat(rows, [_literal(rows, tok, tokens_set)
+                                                      for tok in word]) for word in words])
     else:
-        ast = _parse_tokens(lines[0].split(), tokens_set)
-    nfa = _Nfa()
-    start, end = nfa.fragment(ast)
-    dfsa = _subset_dfsa(nfa.rows, None, start, alpha, lambda subset: end in subset)
+        start, end = _parse_regex(lines[0].split(), tokens_set, rows)
+    dfsa = _subset_dfsa(rows, None, start, alpha, lambda subset: end in subset)
     return _minimize(complete(dfsa))

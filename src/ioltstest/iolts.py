@@ -58,10 +58,12 @@ class Iolts:
     def __post_init__(self):
         if not self.states:
             raise FormatError("model has no states")
-        if len(set(self.states)) != len(self.states):
-            raise FormatError("duplicate state name")
+        names: set[str] = set()
         for name in self.states:
             _check_name(name, "state")
+            if name in names:
+                raise FormatError(f"duplicate state name {name!r}")
+            names.add(name)
         seen: set[str] = set()
         for name in self.inputs:
             _check_name(name, "input action")
@@ -189,39 +191,24 @@ def _parse_sections(text: str) -> tuple[dict[str, list[str]], list[list[str]]]:
     return header, rows
 
 
-def _assemble(header: dict[str, list[str]], rows: list[list[str]],
-              allow_tau: bool) -> tuple:
-    """Resolve names to indices; shared by the model and test-purpose loaders."""
-    states = header["states"]
-    if not states:
-        raise FormatError("model has no states")
+def _assemble(header: dict[str, list[str]], rows: list[list[str]]) -> tuple:
+    """Resolve names to indices and read a repeated transition line once;
+    shared by the model and test-purpose loaders, whose constructors check
+    the rest."""
     if len(header["initial"]) != 1:
         raise FormatError("initial section must name exactly one state")
-    state_index = {}
-    for i, name in enumerate(states):
-        if name in state_index:
-            raise FormatError(f"duplicate state name {name!r}")
-        state_index[name] = i
+    state_index = {name: i for i, name in enumerate(header["states"])}
     initial_name = header["initial"][0]
     if initial_name not in state_index:
         raise FormatError(f"initial state {initial_name!r} not declared")
-    inputs = tuple(header["inputs"])
-    outputs = tuple(header["outputs"])
-    labels = set(inputs) | set(outputs)
-    transitions = []
-    seen = set()
+    transitions: dict[tuple[int, str, int], None] = {}  # an ordered set
     for src, label, dst in rows:
-        if src not in state_index:
-            raise FormatError(f"unknown state {src!r} in transition")
-        if dst not in state_index:
-            raise FormatError(f"unknown state {dst!r} in transition")
-        if label not in labels and not (allow_tau and label == TAU):
-            raise FormatError(f"unknown label {label!r}")
-        triple = (state_index[src], label, state_index[dst])
-        if triple not in seen:
-            seen.add(triple)
-            transitions.append(triple)
-    return tuple(states), state_index[initial_name], inputs, outputs, tuple(transitions)
+        for name in (src, dst):
+            if name not in state_index:
+                raise FormatError(f"unknown state {name!r} in transition")
+        transitions[(state_index[src], label, state_index[dst])] = None
+    return (tuple(header["states"]), state_index[initial_name], tuple(header["inputs"]),
+            tuple(header["outputs"]), tuple(transitions))
 
 
 def parse_model(text: str) -> Iolts:
@@ -234,8 +221,7 @@ def parse_model(text: str) -> Iolts:
     user models should not mention it.
     """
     header, rows = _parse_sections(text)
-    states, initial, inputs, outputs, transitions = _assemble(header, rows,
-                                                              allow_tau=True)
+    states, initial, inputs, outputs, transitions = _assemble(header, rows)
     if DELTA in inputs:
         raise FormatError("reserved name 'delta' may not be declared as an input")
     return Iolts(states, initial, inputs, outputs, transitions)

@@ -133,34 +133,29 @@ def build_multigraph(spec: Iolts, m: int) -> Multigraph:
     return Multigraph(m, n, tokens, (spec.initial, 0), tuple(rows))
 
 
-def _enumerate_fault_paths(g: Multigraph, limit: int) -> tuple[list[tuple[str, ...]], bool]:
-    if limit < 1:
-        raise ValueError("path limit must be >= 1")
-    paths: list[tuple[str, ...]] = []
-    queue: deque[tuple[Node, tuple[str, ...]]] = deque([(g.initial, ())])
-    while queue:
-        node, word = queue.popleft()
-        out = g.out(node)
-        for idx, (tok, target) in enumerate(out):
-            if target == FAIL:
-                paths.append(word + (tok,))
-                if len(paths) == limit:
-                    # Every pending node owns at least one fail edge (having
-                    # emitted a path means some output token exists), so any
-                    # unprocessed edge or queue entry implies more paths.
-                    return paths, bool(queue) or idx + 1 < len(out)
-            else:
-                queue.append((target, word + (tok,)))
-    return paths, False
-
-
 def enumerate_fault_paths(g: Multigraph, limit: int) -> list[tuple[str, ...]]:
     """Breadth-first label sequences of paths from the initial node to fail.
 
     Shortest paths come first; equal lengths are ordered by token declaration
-    order.  Enumeration stops after ``limit`` paths.
+    order.  Enumeration stops after ``limit`` paths.  A multigraph without
+    fail edges (a specification with no outputs but delta) has none.
     """
-    return _enumerate_fault_paths(g, limit)[0]
+    if limit < 1:
+        raise ValueError("path limit must be >= 1")
+    paths: list[tuple[str, ...]] = []
+    if not any(j == FAIL for row in g.rows for _, j in row):
+        return paths  # else the search below would walk every path
+    queue: deque[tuple[Node, tuple[str, ...]]] = deque([(g.initial, ())])
+    while queue:
+        node, word = queue.popleft()
+        for tok, target in g.out(node):
+            if target == FAIL:
+                paths.append(word + (tok,))
+                if len(paths) == limit:
+                    return paths
+            else:
+                queue.append((target, word + (tok,)))
+    return paths
 
 
 @dataclass(frozen=True)
@@ -362,7 +357,12 @@ def generate_fault_model(spec: Iolts, m: int, limit: int = 1000) -> FaultModel:
     """
     cs = ensure_quiescence(spec)
     g = build_multigraph(cs, m)
-    paths, truncated = _enumerate_fault_paths(g, limit)
+    if limit < 1:
+        raise ValueError("path limit must be >= 1")
+    # one path past the limit tells whether the model is truncated
+    paths = enumerate_fault_paths(g, limit + 1)
+    truncated = len(paths) > limit
+    del paths[limit:]
     user_outputs = tuple(t for t in cs.outputs if t != DELTA)
     tps = tuple(path_to_test_purpose(p, cs.inputs, user_outputs) for p in paths)
     return FaultModel(tps, tuple(paths), m, g.n, limit, truncated,
@@ -379,8 +379,7 @@ def tp_to_text(tp: TestPurpose, comments: tuple[str, ...] = ()) -> str:
 
 def tp_from_text(text: str) -> TestPurpose:
     header, rows = _parse_sections(text)
-    states, initial, inputs, outputs, transitions = _assemble(header, rows,
-                                                              allow_tau=False)
+    states, initial, inputs, outputs, transitions = _assemble(header, rows)
     try:
         pass_idx = states.index(PASS)
         fail_idx = states.index(FAIL)

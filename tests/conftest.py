@@ -48,6 +48,21 @@ s1 x s2
 s2 a s1
 """
 
+# no outputs: quiescence completion puts delta at every state
+INPUT_ONLY_TEXT = """\
+states: s0 s1 s2
+initial: s0
+inputs: a b
+outputs:
+transitions:
+s0 a s1
+s0 b s2
+s1 a s2
+s1 b s0
+s2 a s0
+s2 b s1
+"""
+
 
 @pytest.fixture
 def m1():

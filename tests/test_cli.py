@@ -13,7 +13,7 @@ from ioltstest import (
     parse_model,
 )
 from ioltstest.cli import main
-from conftest import FOUR_STATE_TEXT, M1_TEXT, M3_TEXT
+from conftest import FOUR_STATE_TEXT, INPUT_ONLY_TEXT, M1_TEXT, M3_TEXT
 
 
 @pytest.fixture
@@ -243,6 +243,19 @@ def test_gen_suite_rejects_input_free_spec(tmp_path, capsys):
     rc = main(["gen-suite", "--spec", str(spec), "-m", "1", "-o", str(tmp_path / "suite")])
     assert rc == 2
     _assert_one_error_line(capsys)
+
+
+def test_gen_suite_on_output_free_spec_is_empty_and_exhaustive(tmp_path, capsys):
+    """No output can be unexpected, so there is no fault path to enumerate."""
+    spec = tmp_path / "spec.iolts"
+    spec.write_text(INPUT_ONLY_TEXT)
+    rc = main(["gen-suite", "--spec", str(spec), "-m", "4", "--limit", "10",
+               "-o", str(tmp_path / "suite")])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert "test purposes: 0" in out and "truncated" not in err
+    manifest = json.loads((tmp_path / "suite" / "manifest.json").read_text())
+    assert manifest["tp_count"] == 0 and manifest["truncated"] is False
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

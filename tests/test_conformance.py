@@ -404,11 +404,9 @@ def _reference_cover(di, suite):
     suffix = [shortest_witness(replace(prod, initial=t)) for t in range(prod.n_states)]
     candidates = [(prefix[src] + (tok,) + suffix[dst], (src, tok))
                   for (src, tok), dst in prod.transitions.items() if suffix[dst] is not None]
-    if not candidates:
-        return [()]
     rank = {tok: i for i, tok in enumerate(prod.alphabet)}
     candidates.sort(key=lambda c: (len(c[0]), [rank[t] for t in c[0]]))
-    covered, words = set(), []
+    covered, words = set(), [()] if prod.initial in prod.accepting else []
     for word, edge in candidates:
         if edge not in covered:
             words.append(word)
@@ -419,11 +417,10 @@ def _reference_cover(di, suite):
     return words
 
 
-def test_cover_matches_shortest_word_reference():
-    """The cover's own layering yields the words of the reference built from
-    shortest_witness, on deterministic and nondeterministic specs against
-    mutant and submachine IUTs, with ioco-shaped and random-regex D and F."""
-    faults = 0
+def _cover_cases():
+    """120 seeded (seed, spec, iut, d, f) cases: deterministic and
+    nondeterministic specs against mutant and submachine IUTs, with
+    ioco-shaped and random-regex D and F."""
     for seed in range(120):
         rng = SplitMix64(0xC0 + seed)
         spec = random_iolts(GenParams(states=2 + seed % 7, inputs=["a", "b"],
@@ -437,9 +434,29 @@ def test_cover_matches_shortest_word_reference():
         else:
             d = compile_regex(_random_regex(rng, alpha, rng.below(5)), alpha)
             f = compile_regex(_random_regex(rng, alpha, rng.below(5)), alpha)
+        yield seed, spec, iut, d, f
+
+
+def test_cover_matches_shortest_word_reference():
+    """The cover's own layering yields the words of the reference built from
+    shortest_witness, on the cover cases."""
+    faults = 0
+    for seed, spec, iut, d, f in _cover_cases():
         di = determinize(ensure_quiescence(iut))
         suite = build_fault_suite(spec, d, f)
         words = witnesses_transition_cover(di, suite)
         assert words == _reference_cover(di, suite), seed
         faults += bool(words)
     assert faults >= 40
+
+
+def test_cover_starts_with_single_witness():
+    """The cover's first word is the single witness, also when the empty word
+    is a fault and longer faults follow it."""
+    empty_first = 0
+    for seed, spec, iut, d, f in _cover_cases():
+        single = check_lang(spec, iut, d, f).witnesses
+        cover = check_lang(spec, iut, d, f, witness="cover").witnesses
+        assert cover[:1] == single, seed
+        empty_first += single == ((),) and len(cover) > 1
+    assert empty_first >= 5

@@ -1,5 +1,8 @@
 """Automaton algebra: compilation, boolean operations, witnesses."""
 
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +140,27 @@ def test_compile_is_minimal_and_bfs_numbered():
                 if t not in order:
                     order.append(t)
         assert order == list(range(d.n_states)), src
+
+
+def test_compile_matches_python_re():
+    """Compiled regexes accept what Python's re matches, and word lists exactly
+    their words, on every word of length <= 5 over a b x."""
+    words = [w for n in range(6) for w in itertools.product(ABX, repeat=n)]
+    to_re = {"(": "(?:", "%empty": "(?:)"}  # a b x ) | * mean the same to re
+    rng = SplitMix64(14)
+    for _ in range(300):
+        src = random_regex(rng)
+        d = compile_regex(src, ABX)
+        pattern = re.compile("".join(to_re.get(tok, tok) for tok in src.split()))
+        for w in words:
+            assert d.accepts(w) == bool(pattern.fullmatch("".join(w))), (src, w)
+    for i in range(100):
+        lines = [" ".join(ABX[rng.below(3)] for _ in range(rng.below(6))) or "%empty"
+                 for _ in range(2 + rng.below(8))]
+        d = compile_regex(("#finite\n" if i % 2 else "") + "\n".join(lines), ABX)
+        language = {() if ln == "%empty" else tuple(ln.split()) for ln in lines}
+        for w in words:
+            assert d.accepts(w) == (w in language), (lines, w)
 
 
 def test_minimize_random_automata():

@@ -9,11 +9,13 @@ from ioltstest import (
     DELTA,
     FormatError,
     GenParams,
+    Multigraph,
     build_multigraph,
     determinize,
     ensure_quiescence,
     enumerate_fault_paths,
     generate_fault_model,
+    parse_model,
     path_to_test_purpose,
     random_iolts,
     read_fault_model,
@@ -22,6 +24,7 @@ from ioltstest import (
     tp_to_text,
     write_fault_model,
 )
+from conftest import INPUT_ONLY_TEXT
 
 
 def test_levels_four_state_m4(four_state):
@@ -208,6 +211,23 @@ def test_truncation_flagged(m1):
     model = generate_fault_model(m1, m=2, limit=3)
     assert model.truncated
     assert len(model.tps) == 3
+
+
+def test_spec_without_outputs_yields_empty_exhaustive_model(monkeypatch):
+    """Without outputs every state is quiescent, so delta is enabled everywhere
+    and the multigraph has no fail edge.  The model is exhaustive and empty,
+    and is found without walking the multigraph, whose path count grows
+    exponentially with its levels."""
+    out, calls = Multigraph.out, [0]
+
+    def counted(self, node):
+        calls[0] += 1
+        return out(self, node)
+
+    monkeypatch.setattr(Multigraph, "out", counted)
+    model = generate_fault_model(parse_model(INPUT_ONLY_TEXT), m=3, limit=10)
+    assert model.paths == () and model.tps == () and model.exhaustive
+    assert calls == [0]
 
 
 def test_default_limit_is_1000(m1):
