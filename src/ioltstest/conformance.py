@@ -5,23 +5,24 @@ the synchronized product of the determinized specification and implementation
 and reports the first output (or quiescence) the implementation offers that
 the specification does not.  ``check_lang`` builds a fault-suite automaton
 from desirable/forbidden languages (D, F) and searches the implicit product of
-the determinized implementation and that suite, materializing it only for a
-transition cover; with D = otr(spec) extended by one output and F empty it
-coincides with ioco, which the test suite exploits as a cross-oracle.
+the determinized implementation and that suite; a transition cover explores
+that product whole, still without building it.  With D = otr(spec) extended
+by one output and F empty it coincides with ioco, which the test suite
+exploits as a cross-oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import AlphabetMismatchError
 from .fsa import (
     Dfsa,
+    _explore,
     _first_word,
     _product_moves,
     _search_dfsa,
     empty_language,
-    intersect,
 )
 from .iolts import DELTA, Iolts, determinize, ensure_quiescence
 
@@ -194,6 +195,7 @@ def _suite_verdict(spec: Iolts, di: Dfsa, d: Dfsa, f: Dfsa, witness: str) -> Ver
     """The language-based verdict of det(IUT) ``di`` against the suite of
     ``spec`` for D = ``d`` and F = ``f``."""
     ds, suite = determinize(ensure_quiescence(spec)), build_fault_suite(spec, d, f)
+    di = replace(di, alphabet=suite.alphabet)  # ties break in the suite's order, not the IUT's
     d_states, f_states = (a.n_states + (len(a.transitions) != a.n_states * len(a.alphabet))
                           for a in (d, f))  # complete(a).n_states, without completing
     stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet), d_states=d_states,
@@ -215,47 +217,79 @@ def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
     least one returned word.  Words come out shortest-first, ties broken by
     alphabet declaration order; the list is empty iff the product language is.
     """
-    prod = intersect(iut, suite)
-    if not prod.accepting:  # every product state is reachable
-        return []
+    # the product, explored but not built: key i is keys[i], state 0 initial,
+    # and trans lists each key's moves in search order
+    keys, trans = _explore((iut.initial, suite.initial), _product_moves(iut, suite))
+    n = len(keys)
+    accepting = [qa in iut.accepting and qb in suite.accepting for qa, qb in keys]
     # distance to acceptance, breadth-first backwards from the accepting states
-    preds: list[list[int]] = [[] for _ in range(prod.n_states)]
-    for (src, _), dst in prod.transitions.items():
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for (src, _), dst in trans.items():
         preds[dst].append(src)
-    order = list(prod.accepting)
-    dist = [0 if s in prod.accepting else -1 for s in range(prod.n_states)]
+    order = [s for s in range(n) if accepting[s]]
+    if not order:
+        return []
+    dist = [0 if acc else -1 for acc in accepting]
     for s in order:  # order grows while we walk it
         for p in preds[s]:
             if dist[p] < 0:
                 dist[p] = dist[s] + 1
                 order.append(p)
-    # words as alphabet ranks.  Least shortest suffix per state, by increasing
-    # distance: the first move in alphabet order that gets one step closer.
-    rank = {tok: i for i, tok in enumerate(prod.alphabet)}
-    step = prod.transitions.get
-    suffix = {s: () for s in prod.accepting}
-    for s in order[len(suffix):]:
-        suffix[s] = next((rank[tok],) + suffix[t] for tok in prod.alphabet
-                         if (t := step((s, tok))) is not None and dist[t] == dist[s] - 1)
-    # shortest prefix per state, lexicographic in alphabet order: the product
-    # is numbered breadth-first, so its transitions come in search order
-    prefix = {prod.initial: ()}
-    for (src, tok), dst in prod.transitions.items():
-        if dst not in prefix:
-            prefix[dst] = prefix[src] + (rank[tok],)
-    candidates = [(prefix[src] + (rank[tok],) + suffix[dst], (src, tok))
-                  for (src, tok), dst in prod.transitions.items() if dist[dst] >= 0]
-    candidates.sort(key=lambda c: (len(c[0]), c[0]))
-    covered: set[tuple[int, str]] = set()
+    # word(src, tok) = prefix[src] + tok + suffix[dst].  The prefix follows
+    # first-discovery edges (up): shortest, and least in alphabet order.  The
+    # suffix follows each state's first move in alphabet order that gets one
+    # step closer (down).  Both come from one pass over trans, which is in
+    # search order.  Ranked words spell alphabet ranks as code points, so they
+    # concatenate and compare as strings; spelled words hold the tokens.
+    alphabet = iut.alphabet
+    k = len(alphabet)
+    rank = {tok: chr(i) for i, tok in enumerate(alphabet)}
+    up, down = [-1] * n, [-1] * n
+    prefix, suffix = [""] * n, [""] * n
+    spelled_prefix: list[tuple[str, ...]] = [()] * n
+    spelled_suffix: list[tuple[str, ...]] = [()] * n
+    for (src, tok), dst in trans.items():
+        if up[dst] < 0 and dst:
+            up[dst] = src
+            prefix[dst] = prefix[src] + rank[tok]
+            spelled_prefix[dst] = spelled_prefix[src] + (tok,)
+        if down[src] < 0 and dist[src] > 0 and dist[dst] == dist[src] - 1:
+            down[src] = dst
+            suffix[src] = rank[tok]  # the rest follows by increasing distance
+            spelled_suffix[src] = (tok,)
+    for s in order:
+        if dist[s]:
+            suffix[s] += suffix[down[s]]
+            spelled_suffix[s] += spelled_suffix[down[s]]
+    candidates = []
+    for (src, tok), dst in trans.items():
+        if dist[dst] >= 0:
+            word = prefix[src] + rank[tok] + suffix[dst]
+            candidates.append((len(word), word, src, tok, dst))
+    # equal words traverse every edge that spells them, so ties need no order
+    candidates.sort()
+    # covered[src * k + rank] marks an edge some chosen word traverses.  A
+    # state whose up (down) chain is marked has its whole chain marked, so
+    # each chain edge is marked once.
+    covered = bytearray(n * k)
+    up_marked, down_marked = bytearray(n), bytearray(n)
+    up_marked[0] = 1
     # an accepting initial state makes the empty word the shortest fault
-    words: list[tuple[str, ...]] = [()] if prod.initial in prod.accepting else []
-    for ranks, edge in candidates:
-        if edge in covered:
+    words: list[tuple[str, ...]] = [()] if accepting[0] else []
+    for _, _, src, tok, dst in candidates:
+        edge = src * k + ord(rank[tok])
+        if covered[edge]:
             continue
-        word = tuple(prod.alphabet[r] for r in ranks)
-        words.append(word)
-        state = prod.initial
-        for tok in word:
-            covered.add((state, tok))
-            state = prod.transitions[(state, tok)]
+        covered[edge] = 1
+        words.append(spelled_prefix[src] + (tok,) + spelled_suffix[dst])
+        s = src
+        while not up_marked[s]:
+            up_marked[s] = 1
+            covered[up[s] * k + ord(prefix[s][-1])] = 1
+            s = up[s]
+        s = dst
+        while dist[s] and not down_marked[s]:
+            down_marked[s] = 1
+            covered[s * k + ord(suffix[s][0])] = 1
+            s = down[s]
     return words

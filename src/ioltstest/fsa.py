@@ -210,23 +210,24 @@ def complement(a: Dfsa) -> Dfsa:
 
 
 def _product_moves(a: Dfsa, b: Dfsa):
-    """Successors of a pair key in the a x b product, in a's alphabet order."""
-    a_step, b_step = a.transitions.get, b.transitions.get
-
-    def moves(pair):
-        pa, pb = pair
-        return [(tok, (qa, qb)) for tok in a.alphabet if (qa := a_step((pa, tok))) is not None
-                and (qb := b_step((pb, tok))) is not None]
-
-    return moves
-
-
-def _product(a: Dfsa, b: Dfsa, conjunction: bool) -> Dfsa:
+    """Successors of a pair key in the a x b product, in a's alphabet order.
+    Each state of a lists its moves once; b is probed only on those tokens."""
     if set(a.alphabet) != set(b.alphabet):
         raise AlphabetMismatchError(
             "automata alphabets differ: "
             f"{sorted(set(a.alphabet) ^ set(b.alphabet))} not shared"
         )
+    rows = [a.moves(s) for s in range(a.n_states)]
+    b_step = b.transitions.get
+
+    def moves(pair):
+        pa, pb = pair
+        return [(tok, (qa, qb)) for tok, qa in rows[pa] if (qb := b_step((pb, tok))) is not None]
+
+    return moves
+
+
+def _product(a: Dfsa, b: Dfsa, conjunction: bool) -> Dfsa:
     accept = all if conjunction else any
     return _search_dfsa(a.alphabet, (a.initial, b.initial), _product_moves(a, b),
                         lambda k: accept((k[0] in a.accepting, k[1] in b.accepting)))

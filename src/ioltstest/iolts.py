@@ -35,7 +35,8 @@ def _check_name(name: str, kind: str) -> None:
     if not _NAME_RE.match(name):
         raise FormatError(f"invalid {kind} name {name!r}")
     if name in _RESERVED_NAMES:
-        raise FormatError(f"reserved name {name!r} may not be used as a {kind}")
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise FormatError(f"reserved name {name!r} may not be used as {article} {kind}")
 
 
 @dataclass(frozen=True)

@@ -375,21 +375,46 @@ def test_fault_suite_matches_product_construction():
 
 
 def test_single_witness_matches_materialized_product():
-    """check_lang's single witness is the shortest word of intersect(det(IUT),
-    suite), ties broken in the IUT's token order; its stats are the sizes of
-    the completed operands and of the suite."""
+    """check_lang's single witness is the shortest word of intersect(suite,
+    det(IUT)), ties broken in the suite's token order whatever the IUT's; its
+    stats are the sizes of the completed operands and of the suite."""
     faults = reordered = 0
     for spec, iut, d, f, reversed_iut in _suite_cases():
         di = determinize(ensure_quiescence(iut))
         suite = build_fault_suite(spec, d, f)
-        w = shortest_witness(intersect(di, suite))
+        w = shortest_witness(intersect(suite, di))
         v = check_lang(spec, iut, d, f)
         assert v.witnesses == (() if w is None else (w,))
         assert (v.stats.d_states, v.stats.f_states, v.stats.suite_states) == (
             complete(d).n_states, complete(f).n_states, suite.n_states)
         faults += w is not None
-        reordered += reversed_iut and w != shortest_witness(intersect(suite, di))
+        reordered += reversed_iut and w != shortest_witness(intersect(di, suite))
     assert faults >= 100 and reordered >= 5
+
+
+def test_witnesses_ignore_iut_token_order():
+    """An IUT declaring its inputs and outputs in reverse order gets the same
+    single and cover witnesses from check_lang and check_ioco: ties break in
+    the suite's (here the specification's) order, and check_lang's single
+    witness for the ioco D is check_ioco's."""
+    faults = 0
+    for seed in range(60):
+        rng = SplitMix64(0x5E7 + seed)
+        params = dict(inputs=["a", "b"], outputs=["x", "y"], deterministic=seed % 2 == 0,
+                      input_enabled=False, density=0.5)
+        spec = random_iolts(GenParams(states=5, seed=rng.next_u64(), **params))
+        iut = (random_iolts(GenParams(states=5, seed=rng.next_u64(), **params)) if seed % 3
+               else mutate(spec, 0.2, seed).model)
+        rev = Iolts(iut.states, iut.initial, iut.inputs[::-1], iut.outputs[::-1],
+                    iut.transitions)
+        d, f = ioco_desirable_language(spec), empty_language(obs_alphabet(spec))
+        for witness in ("single", "cover"):
+            v = check_lang(spec, rev, d, f, witness)
+            assert v == check_lang(spec, iut, d, f, witness), seed
+            assert check_ioco(spec, rev, witness) == check_ioco(spec, iut, witness), seed
+        assert v.witnesses[:1] == check_ioco(spec, rev).witnesses, seed
+        faults += not v.conforms
+    assert faults >= 40
 
 
 def _reference_cover(di, suite):
@@ -448,6 +473,33 @@ def test_cover_matches_shortest_word_reference():
         assert words == _reference_cover(di, suite), seed
         faults += bool(words)
     assert faults >= 40
+
+
+def test_cover_matches_reference_at_scale():
+    """On 25-30-state specs against 2 % mutants, where many words share their
+    prefix and suffix chains, the cover equals the reference that walks every
+    word."""
+    words = 0
+    for seed in range(8):
+        spec = random_iolts(GenParams(25 + seed % 6, ["a", "b"], ["x", "y"],
+                                      deterministic=True, input_enabled=False,
+                                      density=0.5, seed=0x5CA1E + seed))
+        di = determinize(ensure_quiescence(mutate(spec, 0.02, seed).model))
+        suite = build_fault_suite(spec, ioco_desirable_language(spec),
+                                  empty_language(obs_alphabet(spec)))
+        cover = witnesses_transition_cover(di, suite)
+        assert cover == _reference_cover(di, suite), seed
+        words += len(cover)
+    assert words >= 2000
+
+
+def test_cover_alphabet_mismatch():
+    """Operands over different token sets are refused, as intersect refuses them."""
+    a = empty_language(["a", "x"])
+    with pytest.raises(AlphabetMismatchError):
+        witnesses_transition_cover(a, empty_language(["a", "y"]))
+    with pytest.raises(AlphabetMismatchError):
+        intersect(a, empty_language(["a"]))
 
 
 def test_cover_starts_with_single_witness():

@@ -39,6 +39,10 @@ def test_parse_m1(m1):
          "duplicate state"),
         ("states: s0\ninitial: s0\ninputs: tau\noutputs: x\ntransitions:\n",
          "reserved name"),
+        ("states: s0\ninitial: s0\ninputs: tau\noutputs: x\ntransitions:\n",
+         "^reserved name 'tau' may not be used as an input action$"),
+        ("states: s0\ninitial: s0\ninputs: a\noutputs: pass\ntransitions:\n",
+         "^reserved name 'pass' may not be used as an output action$"),
         ("states: s0\ninitial: s0\ninputs: delta\noutputs: x\ntransitions:\n",
          "delta"),
         ("states: s0\ninitial: s0\ninputs: a\noutputs: x\ntransitions:\ns0 a s9\n",
