@@ -45,8 +45,7 @@ def _load_language(path: str | None, alphabet) -> Dfsa:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def _emit_model(m: Iolts, path: str | None, comments: tuple[str, ...]) -> None:

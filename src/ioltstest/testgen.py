@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import FormatError
+from .fsa import Dfsa, _explore
 from .iolts import (
     DELTA,
     Iolts,
@@ -49,7 +50,6 @@ class Multigraph:
 
     m: int
     n: int
-    tokens: tuple[str, ...]
     initial: Node
     rows: tuple[tuple[tuple[str, object], ...], ...]
 
@@ -130,7 +130,7 @@ def build_multigraph(spec: Iolts, m: int) -> Multigraph:
         step = dict(spec.transitions_from(i))
         rows.append(tuple((tok, step.get(tok, FAIL)) for tok in tokens
                           if tok in step or tok in outputs))
-    return Multigraph(m, n, tokens, (spec.initial, 0), tuple(rows))
+    return Multigraph(m, n, (spec.initial, 0), tuple(rows))
 
 
 def enumerate_fault_paths(g: Multigraph, limit: int) -> list[tuple[str, ...]]:
@@ -165,6 +165,8 @@ class TestPurpose:
 
     Unlike a plain model, ``inputs`` legitimately contains delta here (the
     tester observes quiescence), so this is its own type rather than an Iolts.
+    The constructor checks names and ranges only; ``step`` and ``stimulus``
+    assume a sound tester, one that ``tp_invariant_violations`` passes.
     """
 
     states: tuple[str, ...]
@@ -194,37 +196,21 @@ class TestPurpose:
             raise FormatError("pass/fail indices must name the pass/fail states")
 
     @cached_property
-    def _step(self) -> dict[tuple[int, str], int]:
-        table = {}
-        for src, label, dst in self.transitions:
-            if (src, label) in table:
-                raise FormatError("test purpose is nondeterministic")
-            table[(src, label)] = dst
-        return table
-
-    @cached_property
-    def _stimuli(self) -> tuple[str | None, ...]:
-        emitted = set(self.outputs)
-        offered: list[list[str]] = [[] for _ in self.states]
-        for (src, lab) in self._step:
-            if lab in emitted:
-                offered[src].append(lab)
-        out: list[str | None] = []
-        for s, labs in enumerate(offered):
-            if s in (self.pass_index, self.fail_index):
-                out.append(None)
-            elif len(labs) == 1:
-                out.append(labs[0])
-            else:
-                raise FormatError("test purpose is not output-deterministic")
-        return tuple(out)
+    def _automaton(self) -> Dfsa:
+        """The step table as a DFA accepting at fail, over the emitted then the
+        observed tokens: the model's order of inputs, outputs, delta."""
+        return Dfsa(self.outputs + self.inputs, len(self.states), self.initial,
+                    frozenset({self.fail_index}),
+                    {(s, label): d for s, label, d in self.transitions})
 
     def step(self, state: int, token: str) -> int | None:
-        return self._step.get((state, token))
+        return self._automaton.step(state, token)
 
     def stimulus(self, state: int) -> str | None:
-        """The unique token emitted at ``state``; None at pass/fail."""
-        return self._stimuli[state]
+        """The first emitted token with a move at ``state``: in a sound tester
+        its one stimulus, and None at pass/fail."""
+        step = self._automaton.transitions
+        return next((tok for tok in self.outputs if (state, tok) in step), None)
 
 
 def path_to_test_purpose(path, inputs, outputs) -> TestPurpose:
@@ -308,21 +294,21 @@ def tp_invariant_violations(tp: TestPurpose) -> list[str]:
     if len(order) < len(tp.states):
         problems.append("cycle outside pass/fail self-loops")
 
-    def reachable(start: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for t in adj[stack.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
+    def reachable(start: int) -> list[int]:
+        return _explore(start, lambda s: [(t, t) for t in adj[s]])[0]
 
     if tp.pass_index in reachable(tp.fail_index):
         problems.append("pass reachable from fail")
     if tp.fail_index in reachable(tp.pass_index):
         problems.append("fail reachable from pass")
     return problems
+
+
+def _require_sound(tp: TestPurpose) -> None:
+    """FormatError naming every invariant ``tp`` breaks, if any."""
+    problems = tp_invariant_violations(tp)
+    if problems:
+        raise FormatError("invalid test purpose: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -387,9 +373,7 @@ def tp_from_text(text: str) -> TestPurpose:
         raise FormatError("test purpose file lacks pass/fail states") from None
     tp = TestPurpose(states, initial, inputs, outputs, transitions,
                      pass_idx, fail_idx)
-    problems = tp_invariant_violations(tp)
-    if problems:
-        raise FormatError("invalid test purpose: " + "; ".join(problems))
+    _require_sound(tp)
     return tp
 
 

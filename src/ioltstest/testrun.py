@@ -1,11 +1,14 @@
 """Executing fault models against implementation models.
 
-``run_tp`` searches the synchronous product of a tester and the determinized
-implementation with the breadth-first core of ``fsa``.  Stimuli flow
-tester-to-implementation (one token per tester state), observations flow back
-(any enabled output or quiescence).  The verdict is fail exactly when some
-product state pairs the tester's fail state with any implementation state; the
-witness is the shortest such word, ties broken by alphabet order.
+``run_tp`` checks its tester as ``tp_from_text`` does, then searches the
+synchronous product of the tester's automaton and the determinized
+implementation with the breadth-first core of ``fsa``.  The product moves on a
+token both sides enable; a sound tester enables one stimulus per state, which
+flows tester-to-implementation, and every observation (any enabled output or
+quiescence), which flows back.  The verdict is fail exactly when some product
+state pairs the tester's fail state with any implementation state; the witness
+is the shortest such word, ties broken by the tester's alphabet order (emitted
+before observed), whatever order the implementation declares.
 
 Implementations may be underspecified: when the tester's stimulus is not an
 enabled input and no observation is possible either, that branch of the run is
@@ -20,9 +23,9 @@ import time
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError
-from .fsa import _explore
+from .fsa import _explore, _product_moves
 from .iolts import Iolts, determinize, ensure_quiescence
-from .testgen import FaultModel, TestPurpose
+from .testgen import FaultModel, TestPurpose, _require_sound
 
 
 @dataclass(frozen=True)
@@ -59,29 +62,19 @@ def report_json(report: RunReport) -> dict:
 def run_tp(iut: Iolts, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None, bool]:
     """Run one tester against an implementation model.
 
-    Returns (verdict, witness, incomplete).  The implementation is
+    Returns (verdict, witness, incomplete).  FormatError if the tester breaks
+    an invariant of ``tp_invariant_violations``.  The implementation is
     quiescence-completed if needed; its observed alphabet must match what the
     tester listens for and emits.
     """
+    _require_sound(tp)
     ci = ensure_quiescence(iut)
     _check_alphabets(ci, tp.inputs, tp.outputs)
     di = determinize(ci)
-    observed = set(tp.inputs)  # implementation outputs plus delta
     terminal = (tp.pass_index, tp.fail_index)
-
-    def moves(key):
-        t, q = key
-        if t in terminal:
-            return
-        for tok in di.alphabet:
-            q2 = di.step(q, tok)
-            if q2 is None or (tok not in observed and tok != tp.stimulus(t)):
-                continue
-            t2 = tp.step(t, tok)
-            if t2 is not None:
-                yield tok, (t2, q2)
-
-    keys, trans = _explore((tp.initial, di.initial), moves)
+    moves = _product_moves(tp._automaton, di)
+    keys, trans = _explore((tp.initial, di.initial),
+                           lambda key: () if key[0] in terminal else moves(key))
     fail = next((j for j, key in enumerate(keys) if key[0] == tp.fail_index), None)
     if fail is None:  # incomplete: some non-terminal key has no move
         stuck = sum(key[0] not in terminal for key in keys) - len({i for i, _ in trans})

@@ -1,5 +1,6 @@
 """Synchronous-product test runs and report aggregation."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -7,10 +8,13 @@ import pytest
 from ioltstest import (
     AlphabetMismatchError,
     FaultModel,
+    FormatError,
     GenParams,
+    Iolts,
     SplitMix64,
     TpResult,
     check_ioco,
+    ensure_quiescence,
     generate_fault_model,
     mutate,
     parse_model,
@@ -20,7 +24,10 @@ from ioltstest import (
     run_fault_model,
     run_tp,
     submachine,
+    testgen,
     tp_from_text,
+    tp_invariant_violations,
+    traces_bounded,
 )
 
 
@@ -114,6 +121,116 @@ def test_fail_witness_is_the_first_discovered_word():
         "pass x pass\npass delta pass\nfail x fail\nfail delta fail\n"
     )
     assert run_tp(iut, tp) == ("fail", ("x",), False)
+
+
+def test_witness_ties_follow_the_tester_order():
+    """Two one-token words reach fail; the tester lists x first, so x is the
+    witness whichever order the implementation declares its outputs in."""
+    tp = tp_from_text(
+        "states: t0 pass fail\ninitial: t0\ninputs: x y delta\noutputs: a\n"
+        "transitions:\nt0 a pass\nt0 x fail\nt0 y fail\nt0 delta pass\n"
+        "pass x pass\npass y pass\npass delta pass\n"
+        "fail x fail\nfail y fail\nfail delta fail\n"
+    )
+    for outputs in ("x y", "y x"):
+        iut = parse_model(f"states: q0\ninitial: q0\ninputs: a\noutputs: {outputs}\n"
+                          "transitions:\nq0 x q0\nq0 y q0\n")
+        assert run_tp(iut, tp) == ("fail", ("x",), False), outputs
+
+
+# the hand-broken testers of test_testgen.test_invariant_violation_messages:
+# edits of the tester of "a x" over inputs a b, states t0 t1 pass fail = 0 1 2 3
+@pytest.mark.parametrize("add, drop, message", [
+    ((0, "x", 1), None, "nondeterministic at state t0 on x"),
+    (None, (0, "delta", 2), "state t0 not input-enabled: misses ['delta']"),
+    (None, (0, "a", 1), "state t0 offers 0 stimuli"),
+    ((0, "b", 2), None, "state t0 offers 2 stimuli"),
+    ((1, "delta", 0), (1, "delta", 2), "cycle outside pass/fail self-loops"),
+    ((3, "x", 2), (3, "x", 3), "pass reachable from fail"),
+    ((2, "x", 3), (2, "x", 2), "fail reachable from pass"),
+], ids=["nondeterministic", "not-input-enabled", "no-stimulus", "two-stimuli",
+        "cycle", "fail-to-pass", "pass-to-fail"])
+def test_run_rejects_unsound_tester(add, drop, message):
+    """run_tp checks its tester as tp_from_text does, before any run."""
+    tp = path_to_test_purpose(("a", "x"), inputs=("a", "b"), outputs=("x",))
+    transitions = [t for t in tp.transitions if t != drop] + ([add] if add else [])
+    broken = replace(tp, transitions=tuple(transitions))
+    iut = parse_model("states: q0 q1\ninitial: q0\ninputs: a b\noutputs: x\n"
+                      "transitions:\nq0 a q1\nq1 x q0\n")
+    with pytest.raises(FormatError, match=re.escape(f"invalid test purpose: {message}")):
+        run_tp(iut, broken)
+
+
+def _dag_tester(rng) -> tuple[testgen.TestPurpose, int]:
+    """A random sound tester and its chain length: 1-5 chain states observing
+    x y delta and emitting a or b, each move to a later chain state or to
+    pass/fail."""
+    k = 1 + rng.below(5)
+    pass_idx, fail_idx = k, k + 1
+
+    def target(i):
+        j = i + 1 + rng.below(k - i + 1)
+        return j if j < k else (pass_idx, fail_idx)[rng.below(2)]
+
+    observed = ("x", "y", "delta")
+    transitions = []
+    for i in range(k):
+        transitions.append((i, ("a", "b")[rng.below(2)], target(i)))
+        transitions += [(i, tok, target(i)) for tok in observed]
+    transitions += [(t, tok, t) for t in (pass_idx, fail_idx) for tok in observed]
+    tp = testgen.TestPurpose(tuple(f"t{i}" for i in range(k)) + ("pass", "fail"), 0,
+                             observed, ("a", "b"), tuple(transitions), pass_idx, fail_idx)
+    assert tp_invariant_violations(tp) == []
+    return tp, k
+
+
+def _oracle_run(iut, tp, depth):
+    """run_tp's result by definition, from the implementation's traces up to
+    ``depth`` and the tester's transition list alone."""
+    traces = traces_bounded(ensure_quiescence(iut), depth)
+    moves = {}
+    for src, tok, dst in tp.transitions:
+        moves.setdefault(src, []).append((tok, dst))
+    # every trace word the tester can follow, with the state it reaches
+    reached, frontier = [], [((), tp.initial)]
+    while frontier:
+        word, t = frontier.pop()
+        reached.append((word, t))
+        if t not in (tp.pass_index, tp.fail_index):
+            frontier += [(word + (tok,), d) for tok, d in moves[t] if word + (tok,) in traces]
+    rank = {tok: r for r, tok in enumerate(tp.outputs + tp.inputs)}
+    fails = [w for w, t in reached if t == tp.fail_index]
+    if fails:
+        return "fail", min(fails, key=lambda w: (len(w), [rank[tok] for tok in w])), False
+    stuck = any(t not in (tp.pass_index, tp.fail_index)
+                and all(w + (tok,) not in traces for tok, _ in moves[t])
+                for w, t in reached)
+    return "pass", None, stuck
+
+
+def test_run_matches_definitional_oracle():
+    """Random sound DAG testers against seeded nondeterministic implementations
+    and their twins declaring inputs and outputs in reverse order: the verdict,
+    the witness (least in the tester's order) and the incomplete flag are the
+    oracle's for both twins."""
+    failing = incomplete = 0
+    for seed in range(600):
+        rng = SplitMix64(0xDA6 + seed)
+        tp, depth = _dag_tester(rng)
+        iut = random_iolts(GenParams(states=1 + rng.below(4), inputs=["a", "b"],
+                                     outputs=["x", "y"], deterministic=False,
+                                     input_enabled=False, density=0.5,
+                                     seed=rng.next_u64()))
+        if seed % 3 == 0:
+            iut = _livelock(iut, rng)
+        expected = _oracle_run(iut, tp, depth)
+        twin = Iolts(iut.states, iut.initial, iut.inputs[::-1], iut.outputs[::-1],
+                     iut.transitions)
+        assert run_tp(iut, tp) == expected, seed
+        assert run_tp(twin, tp) == expected, seed
+        failing += expected[0] == "fail"
+        incomplete += expected[2]
+    assert failing >= 200 and incomplete >= 5
 
 
 def test_alphabet_compatibility_enforced(m1):
