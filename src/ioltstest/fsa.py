@@ -16,8 +16,10 @@ breadth-first core numbers like every other automaton.
 Nondeterministic automata have one encoding, adjacency rows of
 ``(label, target)`` moves, and one subset construction, ``_subset_dfsa``,
 shared by compiled regexes and ``iolts.determinize`` (``tau`` is silent).  The
-regex parser emits Thompson's construction straight into such rows, with no
-syntax tree in between; a word list is the alternation of its words.
+regex parser reads the tokens in one loop over a stack of open groups (at most
+100) and emits Thompson's construction straight into such rows, with no syntax
+tree in between; a word list is the alternation of its words.  Nothing here
+recurses.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import AlphabetMismatchError, FormatError
 _OPERATORS = ("(", ")", "|", "*")
 _EMPTY_WORD = "%empty"
 _FINITE_DIRECTIVE = "#finite"
-_MAX_NESTING = 100  # parenthesis depth; keeps the recursive parser off the stack limit
+_MAX_NESTING = 100  # most parentheses open at once in a regex
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,65 +329,37 @@ def _star(rows: list, part: tuple[int, int]) -> tuple[int, int]:
 
 
 def _parse_regex(tokens: list[str], alphabet: set[str], rows: list) -> tuple[int, int]:
-    """Recursive descent over ``| * ( )`` and ``%empty``; returns the fragment
-    of the whole regex."""
-    pos = 0
-    depth = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_alt():
-        alts = [parse_seq()]
-        while peek() == "|":
-            take()
-            alts.append(parse_seq())
-        return _alternate(rows, alts)
-
-    def parse_seq():
-        items = []
-        while peek() is not None and peek() not in (")", "|"):
-            items.append(parse_item())
-        if not items:
+    """One pass over ``| * ( )`` and ``%empty``; returns the fragment of the
+    whole regex.  The stack holds the open groups, innermost last: a group is
+    a list of alternatives, an alternative a list of fragments."""
+    def close(alts: list[list[tuple[int, int]]]) -> tuple[int, int]:
+        if not all(alts):
             raise FormatError("regex syntax error: empty alternative")
-        return _concat(rows, items)
+        return _alternate(rows, [_concat(rows, seq) for seq in alts])
 
-    def parse_item():
-        part = parse_atom()
-        while peek() == "*":
-            take()
-            part = _star(rows, part)
-        return part
-
-    def parse_atom():
-        nonlocal depth
-        tok = peek()
+    stack: list[list[list[tuple[int, int]]]] = [[[]]]
+    for tok in tokens:
         if tok == "(":
-            take()
-            depth += 1
-            if depth > _MAX_NESTING:
+            if len(stack) > _MAX_NESTING:
                 raise FormatError(f"regex nests deeper than {_MAX_NESTING} parentheses")
-            part = parse_alt()
-            if peek() != ")":
-                raise FormatError("regex syntax error: unbalanced '('")
-            take()
-            depth -= 1
-            return part
-        if tok in (")", "|", "*", None):
-            raise FormatError(f"regex syntax error near {tok!r}")
-        take()
-        return _literal(rows, None if tok == _EMPTY_WORD else tok, alphabet)
-
-    part = parse_alt()
-    if pos != len(tokens):
-        raise FormatError(f"regex syntax error: trailing {tokens[pos]!r}")
-    return part
+            stack.append([[]])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise FormatError("regex syntax error: unbalanced ')'")
+            part = close(stack.pop())
+            stack[-1][-1].append(part)
+        elif tok == "|":
+            stack[-1].append([])
+        elif tok == "*":
+            seq = stack[-1][-1]
+            if not seq:
+                raise FormatError("regex syntax error near '*'")
+            seq[-1] = _star(rows, seq[-1])
+        else:
+            stack[-1][-1].append(_literal(rows, None if tok == _EMPTY_WORD else tok, alphabet))
+    if len(stack) > 1:
+        raise FormatError("regex syntax error: unbalanced '('")
+    return close(stack[0])
 
 
 def _minimize(a: Dfsa) -> Dfsa:
@@ -433,20 +407,12 @@ def _minimize(a: Dfsa) -> Dfsa:
 
 
 def _split_source(src: str) -> tuple[bool, list[str]]:
-    """Separate the #finite directive from content lines; drop comments."""
+    """The #finite flag and the content lines: the non-blank lines that are
+    not comments.  #finite counts only before the first content line."""
     lines = [ln.strip() for ln in src.splitlines()]
-    finite = False
-    content: list[str] = []
-    for ln in lines:
-        if not ln:
-            continue
-        if ln == _FINITE_DIRECTIVE and not content and not finite:
-            finite = True
-            continue
-        if ln.startswith("#"):
-            continue
-        content.append(ln)
-    return finite, content
+    content = [ln for ln in lines if ln and not ln.startswith("#")]
+    head = lines[:lines.index(content[0])] if content else lines
+    return _FINITE_DIRECTIVE in head, content
 
 
 def compile_regex(src: str, alphabet: Sequence[str]) -> Dfsa:

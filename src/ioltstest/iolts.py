@@ -162,54 +162,39 @@ class Iolts:
 # --- file format ---------------------------------------------------------
 
 
-def _logical_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
-
-
-def _parse_sections(text: str) -> tuple[dict[str, list[str]], list[list[str]]]:
-    lines = _logical_lines(text)
-    pos = 0
-    header: dict[str, list[str]] = {}
-    for name in _SECTIONS:
+def _read_sections(text: str) -> tuple:
+    """Read the line format into states, initial index, inputs, outputs and
+    transition triples, a repeated transition line once; shared by the model
+    and test-purpose loaders, whose constructors check the rest."""
+    lines = [ln for raw in text.splitlines() if (ln := raw.split("#", 1)[0].strip())]
+    header = []
+    for pos, name in enumerate(_SECTIONS):
         if pos >= len(lines) or not lines[pos].startswith(name + ":"):
             raise FormatError(f"missing section {name!r}")
-        header[name] = lines[pos][len(name) + 1 :].split()
-        pos += 1
-    if pos >= len(lines) or lines[pos] != "transitions:":
+        header.append(lines[pos][len(name) + 1 :].split())
+    k = len(_SECTIONS)
+    if len(lines) <= k or lines[k] != "transitions:":
         raise FormatError("missing section 'transitions'")
-    pos += 1
     rows = []
-    for line in lines[pos:]:
+    for line in lines[k + 1 :]:
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"malformed transition line {line!r}")
         rows.append(parts)
-    return header, rows
-
-
-def _assemble(header: dict[str, list[str]], rows: list[list[str]]) -> tuple:
-    """Resolve names to indices and read a repeated transition line once;
-    shared by the model and test-purpose loaders, whose constructors check
-    the rest."""
-    if len(header["initial"]) != 1:
+    states, initial, inputs, outputs = header
+    if len(initial) != 1:
         raise FormatError("initial section must name exactly one state")
-    state_index = {name: i for i, name in enumerate(header["states"])}
-    initial_name = header["initial"][0]
-    if initial_name not in state_index:
-        raise FormatError(f"initial state {initial_name!r} not declared")
+    state_index = {name: i for i, name in enumerate(states)}
+    if initial[0] not in state_index:
+        raise FormatError(f"initial state {initial[0]!r} not declared")
     transitions: dict[tuple[int, str, int], None] = {}  # an ordered set
     for src, label, dst in rows:
         for name in (src, dst):
             if name not in state_index:
                 raise FormatError(f"unknown state {name!r} in transition")
         transitions[(state_index[src], label, state_index[dst])] = None
-    return (tuple(header["states"]), state_index[initial_name], tuple(header["inputs"]),
-            tuple(header["outputs"]), tuple(transitions))
+    return (tuple(states), state_index[initial[0]], tuple(inputs), tuple(outputs),
+            tuple(transitions))
 
 
 def parse_model(text: str) -> Iolts:
@@ -221,8 +206,7 @@ def parse_model(text: str) -> Iolts:
     accepted only in the outputs section (as written by quiescence completion);
     user models should not mention it.
     """
-    header, rows = _parse_sections(text)
-    states, initial, inputs, outputs, transitions = _assemble(header, rows)
+    states, initial, inputs, outputs, transitions = _read_sections(text)
     if DELTA in inputs:
         raise FormatError("reserved name 'delta' may not be declared as an input")
     return Iolts(states, initial, inputs, outputs, transitions)

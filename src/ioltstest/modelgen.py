@@ -109,12 +109,13 @@ def random_iolts(p: GenParams) -> Iolts:
             triples.add(triple)
             transitions.append(triple)
 
+    free = [(0, lab) for lab in labels]  # the unused slots of states 0..k-1, in order
     for k in range(1, n):
-        free = [(s, lab) for s in range(k) for lab in labels if (s, lab) not in used]
         if not free:
             raise ValueError("infeasible parameters: not enough slots to connect all states")
-        src, lab = free[rng.below(len(free))]
+        src, lab = free.pop(rng.below(len(free)))
         add(src, lab, k)
+        free += [(k, lab) for lab in labels]
     for s in range(n):
         for tok in inputs:
             if (s, tok) in used:
@@ -232,10 +233,13 @@ def mutate(m: Iolts, rate: float, seed: int, grow: int = 0) -> MutationRecord:
         j = rng.below(i + 1)
         order[i], order[j] = order[j], order[i]
 
+    # kept beside ``transitions``: triples are distinct in any model, and
+    # ``defined`` is read only when (state, label) pairs are distinct too
+    existing = set(transitions)
+    defined = {(s, l) for s, l, _ in transitions}
+
     def legal_edits(idx: int) -> list[tuple[str, tuple[int, str, int]]]:
         src, lab, dst = transitions[idx]
-        existing = set(transitions)
-        defined = {(s, l) for s, l, _ in transitions}
         options: list[tuple[str, tuple[int, str, int]]] = []
         for t in range(n):
             cand = (src, lab, t)
@@ -263,6 +267,10 @@ def mutate(m: Iolts, rate: float, seed: int, grow: int = 0) -> MutationRecord:
         kind, after = options[rng.below(len(options))]
         before = transitions[idx]
         transitions[idx] = after
+        existing.remove(before)
+        existing.add(after)
+        defined.discard(before[:2])
+        defined.add(after[:2])
         edits.append(MutationEdit(kind, before, after))
     if len(edits) < wanted:
         raise ValueError("not enough legal edits to reach the requested rate")
@@ -275,7 +283,6 @@ def mutate(m: Iolts, rate: float, seed: int, grow: int = 0) -> MutationRecord:
             name = name + "_"
         states.append(name)
         labels = m.inputs + m.outputs
-        defined = {(s, l) for s, l, _ in transitions}
         free = [(s, lab) for s in range(new_idx) for lab in labels
                 if not keep_deterministic or (s, lab) not in defined]
         if not free:
@@ -287,6 +294,7 @@ def mutate(m: Iolts, rate: float, seed: int, grow: int = 0) -> MutationRecord:
         out_lab = labels[rng.below(len(labels))]
         outgoing = (new_idx, out_lab, rng.below(new_idx + 1))
         transitions.append(outgoing)
+        defined.update(((src, lab), (new_idx, out_lab)))
         edits.append(MutationEdit("grow", None, outgoing))
 
     mutated = Iolts(tuple(states), m.initial, m.inputs, m.outputs, tuple(transitions))

@@ -26,8 +26,7 @@ from .fsa import Dfsa, _explore
 from .iolts import (
     DELTA,
     Iolts,
-    _assemble,
-    _parse_sections,
+    _read_sections,
     _serialize,
     ensure_quiescence,
 )
@@ -187,12 +186,16 @@ class TestPurpose:
             raise FormatError("reserved name used as a test purpose action")
         if DELTA in self.outputs:
             raise FormatError("delta belongs to the observed side of a test purpose")
+        n = len(self.states)
+        if not 0 <= self.initial < n:
+            raise FormatError("initial state out of range")
         for src, label, dst in self.transitions:
             if label not in names:
                 raise FormatError(f"unknown label {label!r} in test purpose")
-            if not (0 <= src < len(self.states) and 0 <= dst < len(self.states)):
+            if not (0 <= src < n and 0 <= dst < n):
                 raise FormatError("transition endpoint out of range")
-        if self.states[self.pass_index] != PASS or self.states[self.fail_index] != FAIL:
+        if not (0 <= self.pass_index < n and self.states[self.pass_index] == PASS
+                and 0 <= self.fail_index < n and self.states[self.fail_index] == FAIL):
             raise FormatError("pass/fail indices must name the pass/fail states")
 
     @cached_property
@@ -364,8 +367,7 @@ def tp_to_text(tp: TestPurpose, comments: tuple[str, ...] = ()) -> str:
 
 
 def tp_from_text(text: str) -> TestPurpose:
-    header, rows = _parse_sections(text)
-    states, initial, inputs, outputs, transitions = _assemble(header, rows)
+    states, initial, inputs, outputs, transitions = _read_sections(text)
     try:
         pass_idx = states.index(PASS)
         fail_idx = states.index(FAIL)

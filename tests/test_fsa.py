@@ -1,5 +1,6 @@
 """Automaton algebra: compilation, boolean operations, witnesses."""
 
+import functools
 import itertools
 import re
 
@@ -210,6 +211,57 @@ def test_compile_nesting_limit():
     assert compile_regex("( " * 100 + "a" + " )" * 100, ABX).accepts(("a",))
     with pytest.raises(FormatError, match="nests deeper"):
         compile_regex("( " * 600 + "a" + " )" * 600, ABX)
+
+
+def test_compile_nesting_limit_is_exact():
+    assert compile_regex("( " * 100 + "a )" + " ) *" * 99, ABX).accepts(("a", "a"))
+    with pytest.raises(FormatError, match="nests deeper than 100 parentheses"):
+        compile_regex("( " * 101 + "a" + " )" * 101, ABX)
+
+
+@functools.cache
+def derives(form: str) -> bool:
+    """True iff ``form`` (one character per token, each atom written E)
+    reduces to E under E* -> E, EE -> E, E|E -> E and (E) -> E: the regex
+    grammar without precedence, which accepts the same token sequences."""
+    return form == "E" or any(
+        derives(form[:i] + "E" + form[i + len(rhs):])
+        for rhs in ("E*", "EE", "E|E", "(E)")
+        for i in range(len(form)) if form.startswith(rhs, i))
+
+
+def test_compile_agrees_with_grammar_exhaustively():
+    """Every token sequence of length 1-5 over a b ( ) | * %empty compiles iff
+    the grammar derives it, and a compiled regex accepts what Python's re
+    matches on every word of length <= 4 over a b x."""
+    words = [w for n in range(5) for w in itertools.product(ABX, repeat=n)]
+    to_re = {"(": "(?:", "%empty": "(?:)"}
+    compiled = 0
+    for n in range(1, 6):
+        for seq in itertools.product(("a", "b", "(", ")", "|", "*", "%empty"), repeat=n):
+            form = "".join("E" if tok in ("a", "b", "%empty") else tok for tok in seq)
+            if not derives(form):
+                with pytest.raises(FormatError):
+                    compile_regex(" ".join(seq), ABX)
+                continue
+            d = compile_regex(" ".join(seq), ABX)
+            compiled += 1
+            pattern = re.compile(re.sub(r"\*+", "*", "".join(to_re.get(t, t) for t in seq)))
+            for w in words:
+                assert d.accepts(w) == bool(pattern.fullmatch("".join(w))), (seq, w)
+    assert compiled == 1881
+
+
+def test_finite_directive_counts_before_the_first_content_line():
+    pair = {("a",), ("b",)}
+    for src in ("# words\n#finite\na\nb", "\n#finite\n# words\na\nb"):
+        assert bounded_language(compile_regex(src, ABX), 2) == pair
+    single = compile_regex("# words\na | b\n", ABX)  # one line, no directive
+    assert bounded_language(single, 2) == pair
+    late = compile_regex("a | b\n#finite", ABX)  # a comment after the regex line
+    assert bounded_language(late, 2) == pair
+    with pytest.raises(FormatError, match="literal '[|]'"):  # a word, not a regex
+        compile_regex("#finite\na | b", ABX)
 
 
 def test_recompilation_is_language_equivalent():

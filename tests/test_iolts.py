@@ -8,6 +8,7 @@ from ioltstest import (
     DELTA,
     FormatError,
     GenParams,
+    Iolts,
     bounded_language,
     complete_quiescence,
     determinize,
@@ -56,6 +57,22 @@ def test_parse_m1(m1):
 def test_parse_errors(text, message):
     with pytest.raises(FormatError, match=message):
         parse_model(text)
+
+
+@pytest.mark.parametrize("states, initial, inputs, outputs, transitions, message", [
+    ((), 0, ("a",), ("x",), (), "^model has no states$"),
+    (("s-0",), 0, ("a",), ("x",), (), "^invalid state name 's-0'$"),
+    (("s0",), 0, ("a", "a"), ("x",), (), "^duplicate action name 'a'$"),
+    (("s0",), 0, ("a",), ("x", "x"), (), "^duplicate action name 'x'$"),
+    (("s0",), 1, ("a",), ("x",), (), "^initial state out of range$"),
+    (("s0",), -1, ("a",), ("x",), (), "^initial state out of range$"),
+    (("s0",), 0, ("a",), ("x",), ((0, "a", 1),), "^transition endpoint out of range$"),
+    (("s0",), 0, ("a",), ("x",), ((-1, "a", 0),), "^transition endpoint out of range$"),
+    (("s0",), 0, ("a",), ("x",), ((0, "a", 0), (0, "a", 0)), "^duplicate transition$"),
+])
+def test_constructor_errors(states, initial, inputs, outputs, transitions, message):
+    with pytest.raises(FormatError, match=message):
+        Iolts(states, initial, inputs, outputs, transitions)
 
 
 def test_roundtrip_is_canonical(m1):

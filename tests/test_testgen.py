@@ -187,6 +187,32 @@ def test_invariant_violation_messages(add, drop, message):
     assert tp_invariant_violations(broken) == [message]
 
 
+# fields of the tester of "a x" over input a: states t0 t1 pass fail = 0 1 2 3,
+# observed x delta, emitted a
+@pytest.mark.parametrize("fields, message", [
+    (dict(states=("t0", "t0", "pass", "fail")), "^duplicate state name in test purpose$"),
+    (dict(outputs=("a", "x")), "^test purpose alphabets overlap$"),
+    (dict(outputs=("tau",)), "^reserved name used as a test purpose action$"),
+    (dict(inputs=("x",), outputs=("a", "delta")),
+     "^delta belongs to the observed side of a test purpose$"),
+    (dict(transitions=((0, "q", 1),)), "^unknown label 'q' in test purpose$"),
+    (dict(transitions=((0, "x", 4),)), "^transition endpoint out of range$"),
+    (dict(transitions=((-1, "x", 0),)), "^transition endpoint out of range$"),
+    (dict(pass_index=3), "^pass/fail indices must name the pass/fail states$"),
+    (dict(initial=9), "^initial state out of range$"),
+    (dict(initial=-1), "^initial state out of range$"),
+    (dict(pass_index=9), "^pass/fail indices must name the pass/fail states$"),
+    (dict(pass_index=-2), "^pass/fail indices must name the pass/fail states$"),
+    (dict(fail_index=-1), "^pass/fail indices must name the pass/fail states$"),
+], ids=["duplicate-state", "overlap", "reserved", "delta-emitted", "unknown-label",
+        "endpoint-high", "endpoint-negative", "pass-names-fail", "initial-high",
+        "initial-negative", "pass-high", "pass-negative", "fail-negative"])
+def test_test_purpose_constructor_errors(fields, message):
+    tp = path_to_test_purpose(("a", "x"), ("a",), ("x",))
+    with pytest.raises(FormatError, match=message):
+        replace(tp, **fields)
+
+
 def test_generated_tps_satisfy_invariants():
     for seed in range(10):
         spec = random_iolts(GenParams(states=1 + seed % 3, inputs=["a", "b"],
