@@ -296,11 +296,11 @@ def bounded_language(a: Dfsa, depth: int) -> set[tuple[str, ...]]:
 # fragments compose by empty moves alone.
 
 
-def _literal(rows: list, tok: str | None, alphabet: set[str]) -> tuple[int, int]:
-    """One move on ``tok``; None is the empty word."""
-    if tok is not None and tok not in alphabet:
+def _literal(rows: list, tok: str, alphabet: set[str]) -> tuple[int, int]:
+    """One move on ``tok``; ``%empty`` is the empty word, an empty move."""
+    if tok != _EMPTY_WORD and tok not in alphabet:
         raise FormatError(f"regex literal {tok!r} not in alphabet")
-    rows += ([(tok, len(rows) + 1)], [])
+    rows += ([(None if tok == _EMPTY_WORD else tok, len(rows) + 1)], [])
     return len(rows) - 2, len(rows) - 1
 
 
@@ -356,7 +356,7 @@ def _parse_regex(tokens: list[str], alphabet: set[str], rows: list) -> tuple[int
                 raise FormatError("regex syntax error near '*'")
             seq[-1] = _star(rows, seq[-1])
         else:
-            stack[-1][-1].append(_literal(rows, None if tok == _EMPTY_WORD else tok, alphabet))
+            stack[-1][-1].append(_literal(rows, tok, alphabet))
     if len(stack) > 1:
         raise FormatError("regex syntax error: unbalanced '('")
     return close(stack[0])
@@ -436,10 +436,8 @@ def compile_regex(src: str, alphabet: Sequence[str]) -> Dfsa:
         return empty_language(alpha)
     rows: list[list[tuple[str | None, int]]] = []
     if finite or len(lines) > 1:
-        # one alternative per word; a line "%empty" is the empty word
-        words = [[None] if ln == _EMPTY_WORD else ln.split() for ln in lines]
         start, end = _alternate(rows, [_concat(rows, [_literal(rows, tok, tokens_set)
-                                                      for tok in word]) for word in words])
+                                                      for tok in ln.split()]) for ln in lines])
     else:
         start, end = _parse_regex(lines[0].split(), tokens_set, rows)
     dfsa = _subset_dfsa(rows, None, start, alpha, lambda subset: end in subset)

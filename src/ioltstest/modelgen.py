@@ -98,16 +98,14 @@ def random_iolts(p: GenParams) -> Iolts:
     rng = SplitMix64(p.seed)
     n = p.states
     labels = inputs + outputs
-    used: set[tuple[int, str]] = set()
-    triples: set[tuple[int, str, int]] = set()
+    targets: dict[tuple[int, str], set[int]] = {}
     transitions: list[tuple[int, str, int]] = []
 
     def add(src: int, label: str, dst: int) -> None:
-        used.add((src, label))
-        triple = (src, label, dst)
-        if triple not in triples:
-            triples.add(triple)
-            transitions.append(triple)
+        row = targets.setdefault((src, label), set())
+        if dst not in row:
+            row.add(dst)
+            transitions.append((src, label, dst))
 
     free = [(0, lab) for lab in labels]  # the unused slots of states 0..k-1, in order
     for k in range(1, n):
@@ -118,13 +116,13 @@ def random_iolts(p: GenParams) -> Iolts:
         free += [(k, lab) for lab in labels]
     for s in range(n):
         for tok in inputs:
-            if (s, tok) in used:
+            if (s, tok) in targets:
                 continue
             if p.input_enabled or rng.chance(p.density):
                 add(s, tok, rng.below(n))
     for s in range(n):
         for tok in outputs:
-            if (s, tok) not in used and rng.chance(p.density):
+            if (s, tok) not in targets and rng.chance(p.density):
                 add(s, tok, rng.below(n))
     if not p.deterministic:
         for s in range(n):
@@ -225,7 +223,7 @@ def mutate(m: Iolts, rate: float, seed: int, grow: int = 0) -> MutationRecord:
     transitions = list(m.transitions)
     keep_deterministic = m.is_deterministic
     n = len(m.states)
-    input_set, output_set = set(m.inputs), set(m.outputs)
+    input_set = set(m.inputs)
 
     # Fisher-Yates order over transition indices, then take edits in turn.
     order = list(range(len(transitions)))
@@ -233,44 +231,41 @@ def mutate(m: Iolts, rate: float, seed: int, grow: int = 0) -> MutationRecord:
         j = rng.below(i + 1)
         order[i], order[j] = order[j], order[i]
 
-    # kept beside ``transitions``: triples are distinct in any model, and
-    # ``defined`` is read only when (state, label) pairs are distinct too
-    existing = set(transitions)
-    defined = {(s, l) for s, l, _ in transitions}
+    targets: dict[tuple[int, str], set[int]] = {}
+    for s, lab, t in transitions:
+        targets.setdefault((s, lab), set()).add(t)
 
-    def legal_edits(idx: int) -> list[tuple[str, tuple[int, str, int]]]:
+    def draw(idx: int) -> tuple[str, tuple[int, str, int]] | None:
+        """One edit drawn uniformly from the legal ones, listed as retargets
+        by ascending target, then relabels in family order; None if none."""
         src, lab, dst = transitions[idx]
-        options: list[tuple[str, tuple[int, str, int]]] = []
-        for t in range(n):
-            cand = (src, lab, t)
-            if t != dst and cand not in existing:
-                options.append(("retarget", cand))
-        if lab != TAU:
-            family = m.inputs if lab in input_set else m.outputs
-            for other in family:
-                if other == lab:
-                    continue
-                if keep_deterministic and (src, other) in defined:
-                    continue
-                cand = (src, other, dst)
-                if cand not in existing:
-                    options.append(("relabel", cand))
-        return options
+        taken = targets[(src, lab)]
+        free = n - len(taken)
+        family = () if lab == TAU else m.inputs if lab in input_set else m.outputs
+        relabels = [o for o in family if o != lab and not (
+            (row := targets.get((src, o))) and (keep_deterministic or dst in row))]
+        options = free + len(relabels)
+        if not options:
+            return None
+        k = rng.below(options)
+        if k >= free:
+            return "relabel", (src, relabels[k - free], dst)
+        for t in sorted(taken):  # the k-th state outside ``taken``
+            k += t <= k
+        return "retarget", (src, lab, k)
 
     edits: list[MutationEdit] = []
     for idx in order:
         if len(edits) == wanted:
             break
-        options = legal_edits(idx)
-        if not options:
+        edit = draw(idx)
+        if edit is None:
             continue
-        kind, after = options[rng.below(len(options))]
+        kind, after = edit
         before = transitions[idx]
         transitions[idx] = after
-        existing.remove(before)
-        existing.add(after)
-        defined.discard(before[:2])
-        defined.add(after[:2])
+        targets[before[:2]].discard(before[2])
+        targets.setdefault(after[:2], set()).add(after[2])
         edits.append(MutationEdit(kind, before, after))
     if len(edits) < wanted:
         raise ValueError("not enough legal edits to reach the requested rate")
@@ -284,7 +279,7 @@ def mutate(m: Iolts, rate: float, seed: int, grow: int = 0) -> MutationRecord:
         states.append(name)
         labels = m.inputs + m.outputs
         free = [(s, lab) for s in range(new_idx) for lab in labels
-                if not keep_deterministic or (s, lab) not in defined]
+                if not keep_deterministic or not targets.get((s, lab))]
         if not free:
             raise ValueError("no free slot to attach a grown state")
         src, lab = free[rng.below(len(free))]
@@ -294,7 +289,8 @@ def mutate(m: Iolts, rate: float, seed: int, grow: int = 0) -> MutationRecord:
         out_lab = labels[rng.below(len(labels))]
         outgoing = (new_idx, out_lab, rng.below(new_idx + 1))
         transitions.append(outgoing)
-        defined.update(((src, lab), (new_idx, out_lab)))
+        for s, lab, t in (incoming, outgoing):
+            targets.setdefault((s, lab), set()).add(t)
         edits.append(MutationEdit("grow", None, outgoing))
 
     mutated = Iolts(tuple(states), m.initial, m.inputs, m.outputs, tuple(transitions))

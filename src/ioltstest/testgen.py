@@ -432,6 +432,12 @@ def read_fault_model(directory: str) -> FaultModel:
     if manifest["tp_count"] != len(manifest["paths"]):
         raise FormatError("manifest.json tp_count differs from its number of paths")
     paths = tuple(tuple(p) for p in manifest["paths"])
+    if min(manifest["m"], manifest["n"], manifest["limit"]) < 1:
+        raise FormatError("manifest.json needs m, n and limit of at least 1")
+    if len(paths) > manifest["limit"]:
+        raise FormatError("manifest.json holds more paths than its limit")
+    if manifest["truncated"] and len(paths) < manifest["limit"]:
+        raise FormatError("manifest.json is truncated with fewer paths than its limit")
     observed = tuple(t for t in manifest["outputs"] if t != DELTA)
     tps = []
     for i, path in enumerate(paths):

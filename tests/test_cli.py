@@ -207,6 +207,43 @@ def test_run_suite_rejects_bad_manifest(files, tmp_path, capsys, corrupt):
     assert "manifest" in err[0]  # the suite is blamed, not the implementation
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda mf: mf.update(m=0),
+    lambda mf: mf.update(n=-1),
+    lambda mf: mf.update(limit=0),
+    lambda mf: mf.update(limit=1),
+    lambda mf: mf.update(truncated=True),
+], ids=["zero-m", "negative-n", "zero-limit", "paths-over-limit", "truncated-under-limit"])
+def test_run_suite_rejects_unwritable_manifest(files, tmp_path, capsys, corrupt):
+    """Well-typed manifests that ``write_fault_model`` never writes: 62 paths
+    under limit 1000, so neither limit 1 nor a truncation flag fits them."""
+    out = tmp_path / "suite"
+    main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(out)])
+    manifest_file = out / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    assert (len(manifest["paths"]), manifest["limit"], manifest["truncated"]) == (62, 1000, False)
+    corrupt(manifest)
+    manifest_file.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["run-suite", "--iut", files["m1"], "--suite", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "manifest.json" in err[0]
+
+
+def test_run_suite_notes_incomplete_runs(files, tmp_path, capsys):
+    """A tau livelock passes every tester but leaves runs incomplete."""
+    out = tmp_path / "suite"
+    main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(out)])
+    iut = tmp_path / "livelock.iolts"
+    iut.write_text("states: q0\ninitial: q0\ninputs: a\noutputs: x\ntransitions:\nq0 tau q0\n")
+    capsys.readouterr()
+    assert main(["run-suite", "--iut", str(iut), "--suite", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "overall: pass"
+    assert lines[-1].startswith("note: ") and lines[-1].endswith(
+        " run(s) incomplete (tau livelock in the implementation)")
+
+
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
@@ -245,6 +282,15 @@ def test_gen_suite_rejects_input_free_spec(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+def test_gen_suite_rejects_tau_spec(tmp_path, capsys):
+    spec = tmp_path / "spec.iolts"
+    spec.write_text(M1_TEXT + "s1 tau s0\n")
+    capsys.readouterr()
+    assert main(["gen-suite", "--spec", str(spec), "-m", "2", "-o", str(tmp_path / "suite")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "requires a deterministic model" in err[0]
+
+
 def test_gen_suite_on_output_free_spec_is_empty_and_exhaustive(tmp_path, capsys):
     """No output can be unexpected, so there is no fault path to enumerate."""
     spec = tmp_path / "spec.iolts"
@@ -277,6 +323,14 @@ def test_gen_model_deterministic_output(tmp_path, capsys):
     assert main(args + ["-o", str(b)]) == 0
     assert a.read_text() == b.read_text()
     assert a.read_text().startswith("# generator: seed=1")
+
+
+def test_gen_model_without_output_file_writes_stdout(tmp_path, capsys):
+    args = ["gen-model", "--states", "4", "--inputs", "2", "--outputs", "2", "--seed", "5"]
+    assert main(args + ["-o", str(tmp_path / "m.iolts")]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == (tmp_path / "m.iolts").read_text()
 
 
 def test_gen_model_explicit_tokens(tmp_path):

@@ -91,6 +91,17 @@ def test_compile_empty_word_constant():
     assert not d.accepts(("a",))
 
 
+@pytest.mark.parametrize("src, words", [
+    ("#finite\na %empty", {("a",)}),
+    ("a\n%empty b\n%empty", {(), ("a",), ("b",)}),
+])
+def test_compile_empty_word_inside_word_line(src, words):
+    """``%empty`` is the empty word inside a word line too, as in a regex."""
+    d = compile_regex(src, ABX)
+    assert bounded_language(d, 4) == words
+    assert equivalent(d, compile_regex(" | ".join(" ".join(w) or "%empty" for w in words), ABX))
+
+
 def test_compile_is_minimal():
     # words {a, b}: initial, accept, sink
     assert compile_regex("a | b", ("a", "b")).n_states == 3

@@ -215,3 +215,18 @@ def test_initial_quiescence_closure(seed):
         return
     for word in traces_bounded(c, 4):
         assert d.accepts(("delta",) + word) == d.accepts(word)
+
+
+@pytest.mark.parametrize("initial", ["", "s0 s1"])
+def test_initial_section_names_one_state(initial):
+    text = f"states: s0 s1\ninitial: {initial}\ninputs: a\noutputs: x\ntransitions:\n"
+    with pytest.raises(FormatError, match="^initial section must name exactly one state$"):
+        parse_model(text)
+
+
+def test_delta_edge_off_a_self_loop_is_not_a_completion():
+    m = parse_model("states: s0 s1\ninitial: s0\ninputs: a\noutputs: x delta\n"
+                    "transitions:\ns0 delta s1\ns1 a s0\n")
+    assert not m.is_quiescence_completed
+    with pytest.raises(FormatError, match="mentions delta"):
+        ensure_quiescence(m)

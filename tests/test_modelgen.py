@@ -1,11 +1,17 @@
 """Seeded generation, submachines, mutation, angelic input-enabling."""
 
+import hashlib
 import math
 
 import pytest
 
 from ioltstest import (
+    TAU,
+    FormatError,
     GenParams,
+    Iolts,
+    MutationEdit,
+    MutationRecord,
     SplitMix64,
     angelic_input_enable,
     check_ioco,
@@ -175,3 +181,167 @@ def test_angelic_can_break_conformance():
     assert check_ioco(spec, iut).conforms
     forced = angelic_input_enable(iut)
     assert not check_ioco(spec, forced).conforms
+
+
+def _listing_mutate(m, rate, seed, grow=0):
+    """``mutate`` by listing: every legal edit of a transition is listed, then
+    one is picked.  ``test_mutate_matches_listing`` compares the draw with it."""
+    if m.has_delta:
+        raise FormatError("mutation expects a delta-free model")
+    if not m.transitions:
+        raise ValueError("cannot mutate a model without transitions")
+    if not 0.0 < rate <= 1.0:
+        raise ValueError("rate must lie in (0, 1]")
+    if grow < 0:
+        raise ValueError("grow must be >= 0")
+    rng = SplitMix64(seed)
+    wanted = math.ceil(rate * len(m.transitions))
+    transitions = list(m.transitions)
+    keep_deterministic = m.is_deterministic
+    n = len(m.states)
+    order = list(range(len(transitions)))
+    for i in range(len(order) - 1, 0, -1):
+        j = rng.below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    existing = set(transitions)
+    defined = {(s, l) for s, l, _ in transitions}
+
+    def legal_edits(idx):
+        src, lab, dst = transitions[idx]
+        options = [("retarget", (src, lab, t)) for t in range(n)
+                   if t != dst and (src, lab, t) not in existing]
+        if lab != TAU:
+            family = m.inputs if lab in m.inputs else m.outputs
+            for other in family:
+                if other == lab or keep_deterministic and (src, other) in defined:
+                    continue
+                if (src, other, dst) not in existing:
+                    options.append(("relabel", (src, other, dst)))
+        return options
+
+    edits = []
+    for idx in order:
+        if len(edits) == wanted:
+            break
+        options = legal_edits(idx)
+        if not options:
+            continue
+        kind, after = options[rng.below(len(options))]
+        before = transitions[idx]
+        transitions[idx] = after
+        existing.remove(before)
+        existing.add(after)
+        defined.discard(before[:2])
+        defined.add(after[:2])
+        edits.append(MutationEdit(kind, before, after))
+    if len(edits) < wanted:
+        raise ValueError("not enough legal edits to reach the requested rate")
+    states = list(m.states)
+    labels = m.inputs + m.outputs
+    for g in range(grow):
+        new_idx = len(states)
+        name = f"g{g}"
+        while name in states:
+            name = name + "_"
+        states.append(name)
+        free = [(s, lab) for s in range(new_idx) for lab in labels
+                if not keep_deterministic or (s, lab) not in defined]
+        if not free:
+            raise ValueError("no free slot to attach a grown state")
+        src, lab = free[rng.below(len(free))]
+        incoming = (src, lab, new_idx)
+        transitions.append(incoming)
+        edits.append(MutationEdit("grow", None, incoming))
+        out_lab = labels[rng.below(len(labels))]
+        outgoing = (new_idx, out_lab, rng.below(new_idx + 1))
+        transitions.append(outgoing)
+        defined.update(((src, lab), (new_idx, out_lab)))
+        edits.append(MutationEdit("grow", None, outgoing))
+    mutated = Iolts(tuple(states), m.initial, m.inputs, m.outputs, tuple(transitions))
+    return MutationRecord(mutated, tuple(edits))
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (ValueError, FormatError) as e:
+        return type(e), str(e)
+
+
+def test_mutate_matches_listing():
+    """Drawing the k-th legal edit gives the model, the edit list or the error
+    that listing every legal edit and picking one gives, deterministic models
+    and nondeterministic ones with tau alike."""
+    cases = raised = with_tau = 0
+    for states in range(1, 13):
+        for deterministic in (True, False):
+            for inputs, outputs, density in ((1, 1, 0.5), (2, 3, 0.3), (3, 0, 0.9)):
+                for seed in range(100 * states, 100 * states + 3):
+                    m = random_iolts(GenParams(states, inputs, outputs, deterministic,
+                                               input_enabled=False, density=density,
+                                               seed=seed))
+                    with_tau += any(lab == TAU for _, lab, _ in m.transitions)
+                    for rate in (0.05, 0.3, 1.0):
+                        for grow in (0, 2):
+                            got = _outcome(mutate, m, rate, seed, grow=grow)
+                            assert got == _outcome(_listing_mutate, m, rate, seed, grow=grow)
+                            cases += 1
+                            raised += isinstance(got, tuple)
+    assert cases == 1296 and 0 < raised < cases and with_tau
+
+
+def test_random_iolts_pinned():
+    """Seeded models stay bit for bit as recorded (the digest of every model,
+    or error, over a grid of parameter sets)."""
+    digest = hashlib.sha256()
+    for states in range(1, 9):
+        for inputs, outputs in ((0, 0), (0, 2), (1, 1), (2, 3)):
+            for deterministic in (True, False):
+                for input_enabled in (True, False):
+                    for density in (0.0, 0.4, 1.0):
+                        p = GenParams(states, inputs, outputs, deterministic, input_enabled,
+                                      density, seed=states * 7 + inputs)
+                        out = _outcome(lambda: serialize_model(random_iolts(p)))
+                        digest.update(repr(out).encode())
+    assert digest.hexdigest() == (
+        "e47244579f41e4a1d71ef82bdfbc7b653b12efdd027e13255ccd75df6f6a3c3f")
+
+
+@pytest.mark.parametrize("params, message", [
+    (dict(density=1.5), r"^density must lie in \[0, 1\]$"),
+    (dict(density=-0.1), r"^density must lie in \[0, 1\]$"),
+    (dict(inputs=0), "^input-enabled model needs a nonempty input alphabet$"),
+    (dict(inputs=0, outputs=0, input_enabled=False),
+     "^cannot connect several states without any label$"),
+])
+def test_gen_params_rejected(params, message):
+    p = GenParams(**{"states": 3, "inputs": 1, "outputs": 1, **params})
+    with pytest.raises(ValueError, match=message):
+        random_iolts(p)
+
+
+@pytest.mark.parametrize("keep_fraction", [0.0, -0.5, 1.5])
+def test_submachine_rejects_keep_fraction(m1, keep_fraction):
+    with pytest.raises(ValueError, match=r"^keep_fraction must lie in \(0, 1\]$"):
+        submachine(m1, keep_fraction, seed=0)
+
+
+def test_generators_reject_delta(m1):
+    completed = ensure_quiescence(m1)
+    with pytest.raises(FormatError, match="^mutation expects a delta-free model$"):
+        mutate(completed, 0.5, seed=0)
+    with pytest.raises(FormatError, match="^submachine extraction expects a delta-free model$"):
+        submachine(completed, 0.5, seed=0)
+
+
+def test_mutate_rejects_negative_grow(m1):
+    with pytest.raises(ValueError, match="^grow must be >= 0$"):
+        mutate(m1, 0.5, seed=0, grow=-1)
+
+
+def test_mutate_runs_out_of_legal_edits():
+    """A one-state self-loop on the only input can be neither retargeted nor
+    relabelled, so no rate can be met."""
+    m = parse_model("states: s0\ninitial: s0\ninputs: a\noutputs: x\ntransitions:\ns0 a s0\n")
+    with pytest.raises(ValueError, match="^not enough legal edits to reach the requested rate$"):
+        mutate(m, 1.0, seed=0)
