@@ -8,12 +8,12 @@ from desirable/forbidden languages (D, F) and searches the implicit product of
 the determinized implementation and that suite; a transition cover explores
 that product whole, still without building it.  With D = otr(spec) extended
 by one output and F empty it coincides with ioco, which the test suite
-exploits as a cross-oracle.
+exploits as a cross-oracle and ``check_ioco`` uses for its transition cover.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import AlphabetMismatchError
 from .fsa import (
@@ -63,14 +63,7 @@ def verdict_json(v: Verdict, relation: str) -> dict:
         "relation": relation,
         "conforms": v.conforms,
         "witnesses": [list(w) for w in v.witnesses],
-        "stats": {
-            "spec_states": v.stats.spec_states,
-            "iut_states": v.stats.iut_states,
-            "suite_states": v.stats.suite_states,
-            "d_states": v.stats.d_states,
-            "f_states": v.stats.f_states,
-            "alphabet_size": v.stats.alphabet_size,
-        },
+        "stats": asdict(v.stats),
     }
 
 
@@ -92,8 +85,9 @@ def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
     advance only when enabled on both sides, and implementation states lacking
     a specified input silently truncate exploration (no obligation there).
 
-    ``witness`` selects "single" (shortest fault word) or "cover" (transition
-    cover of the fault-relevant product, several words per fault region).
+    ``witness`` selects "single" (shortest fault word) or "cover": once a
+    fault is found, ``check_lang`` with D = ``ioco_desirable_language(spec)``
+    and F empty, whose transition cover gives several words per fault region.
     """
     if witness not in WITNESS_STRATEGIES:
         raise ValueError(f"unknown witness strategy {witness!r}")
@@ -122,8 +116,8 @@ def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
         return Verdict(True, (), stats)
     if witness == "single":
         return Verdict(False, (first_fault,), stats)
-    return _suite_verdict(spec, di, ioco_desirable_language(spec),
-                          empty_language(ds.alphabet), "cover")
+    return check_lang(spec, iut, ioco_desirable_language(spec),
+                      empty_language(ds.alphabet), "cover")
 
 
 def ioco_desirable_language(spec: Iolts) -> Dfsa:
@@ -188,18 +182,13 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
     if witness not in WITNESS_STRATEGIES:
         raise ValueError(f"unknown witness strategy {witness!r}")
     _require_same_alphabets(spec, iut)
-    return _suite_verdict(spec, determinize(ensure_quiescence(iut)), d, f, witness)
-
-
-def _suite_verdict(spec: Iolts, di: Dfsa, d: Dfsa, f: Dfsa, witness: str) -> Verdict:
-    """The language-based verdict of det(IUT) ``di`` against the suite of
-    ``spec`` for D = ``d`` and F = ``f``."""
     ds, suite = determinize(ensure_quiescence(spec)), build_fault_suite(spec, d, f)
-    di = replace(di, alphabet=suite.alphabet)  # ties break in the suite's order, not the IUT's
-    d_states, f_states = (a.n_states + (len(a.transitions) != a.n_states * len(a.alphabet))
-                          for a in (d, f))  # complete(a).n_states, without completing
-    stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet), d_states=d_states,
-                       f_states=f_states, suite_states=suite.n_states)
+    # ties break in the suite's order, not the IUT's
+    di = replace(determinize(ensure_quiescence(iut)), alphabet=suite.alphabet)
+    completed_sizes = (a.n_states + (len(a.transitions) != a.n_states * len(a.alphabet))
+                       for a in (d, f))  # complete(a).n_states, without completing
+    stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet), *completed_sizes,
+                       suite.n_states)
     if witness == "cover":
         words = tuple(witnesses_transition_cover(di, suite))
     else:  # search intersect(di, suite) unbuilt; every det(IUT) state accepts
@@ -239,28 +228,23 @@ def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
     # first-discovery edges (up): shortest, and least in alphabet order.  The
     # suffix follows each state's first move in alphabet order that gets one
     # step closer (down).  Both come from one pass over trans, which is in
-    # search order.  Ranked words spell alphabet ranks as code points, so they
-    # concatenate and compare as strings; spelled words hold the tokens.
+    # search order.  Words spell alphabet ranks as code points, so they
+    # concatenate and compare as strings; chosen words are spelled on return.
     alphabet = iut.alphabet
     k = len(alphabet)
     rank = {tok: chr(i) for i, tok in enumerate(alphabet)}
     up, down = [-1] * n, [-1] * n
     prefix, suffix = [""] * n, [""] * n
-    spelled_prefix: list[tuple[str, ...]] = [()] * n
-    spelled_suffix: list[tuple[str, ...]] = [()] * n
     for (src, tok), dst in trans.items():
         if up[dst] < 0 and dst:
             up[dst] = src
             prefix[dst] = prefix[src] + rank[tok]
-            spelled_prefix[dst] = spelled_prefix[src] + (tok,)
         if down[src] < 0 and dist[src] > 0 and dist[dst] == dist[src] - 1:
             down[src] = dst
             suffix[src] = rank[tok]  # the rest follows by increasing distance
-            spelled_suffix[src] = (tok,)
     for s in order:
         if dist[s]:
             suffix[s] += suffix[down[s]]
-            spelled_suffix[s] += spelled_suffix[down[s]]
     candidates = []
     for (src, tok), dst in trans.items():
         if dist[dst] >= 0:
@@ -275,13 +259,13 @@ def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
     up_marked, down_marked = bytearray(n), bytearray(n)
     up_marked[0] = 1
     # an accepting initial state makes the empty word the shortest fault
-    words: list[tuple[str, ...]] = [()] if accepting[0] else []
-    for _, _, src, tok, dst in candidates:
+    words = [""] if accepting[0] else []
+    for _, word, src, tok, dst in candidates:
         edge = src * k + ord(rank[tok])
         if covered[edge]:
             continue
         covered[edge] = 1
-        words.append(spelled_prefix[src] + (tok,) + spelled_suffix[dst])
+        words.append(word)
         s = src
         while not up_marked[s]:
             up_marked[s] = 1
@@ -292,4 +276,5 @@ def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
             down_marked[s] = 1
             covered[s * k + ord(suffix[s][0])] = 1
             s = down[s]
-    return words
+    spell = dict(zip(rank.values(), alphabet)).__getitem__
+    return [tuple(map(spell, w)) for w in words]

@@ -133,30 +133,20 @@ class Iolts:
     def has_delta(self) -> bool:
         return DELTA in self.outputs or any(l == DELTA for _, l, _ in self.transitions)
 
-    def _is_quiescent(self, state: int) -> bool:
-        # delta itself does not count against quiescence
-        for label, _ in self._adjacency[state]:
-            if label == TAU or (label != DELTA and label in self._output_set):
-                return False
-        return True
-
     @cached_property
-    def _output_set(self) -> frozenset[str]:
-        return frozenset(self.outputs)
+    def _quiescent(self) -> tuple[int, ...]:
+        """The states with no tau move and no output but delta, in order."""
+        noisy_labels = {TAU, *self.outputs} - {DELTA}
+        noisy = {src for src, label, _ in self.transitions if label in noisy_labels}
+        return tuple(i for i in range(len(self.states)) if i not in noisy)
 
     @cached_property
     def is_quiescence_completed(self) -> bool:
         """Delta self-loops sit at exactly the quiescent states, nowhere else."""
-        if DELTA not in self.outputs:
-            return False
-        looped = set()
-        for src, label, dst in self.transitions:
-            if label == DELTA:
-                if src != dst:
-                    return False
-                looped.add(src)
-        quiescent = {i for i in range(len(self.states)) if self._is_quiescent(i)}
-        return looped == quiescent
+        # the constructor rejects duplicate transitions, so the sets compare exactly
+        return DELTA in self.outputs and (
+            {(s, d) for s, label, d in self.transitions if label == DELTA}
+            == {(i, i) for i in self._quiescent})
 
 
 # --- file format ---------------------------------------------------------
@@ -243,7 +233,7 @@ def complete_quiescence(m: Iolts) -> Iolts:
     """
     if m.has_delta:
         raise FormatError("model already contains delta")
-    added = tuple((i, DELTA, i) for i in range(len(m.states)) if m._is_quiescent(i))
+    added = tuple((i, DELTA, i) for i in m._quiescent)
     return replace(m, outputs=m.outputs + (DELTA,), transitions=m.transitions + added)
 
 

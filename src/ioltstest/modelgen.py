@@ -48,6 +48,8 @@ class SplitMix64:
 
 def _tokens(spec: int | Sequence[str], prefix: str) -> tuple[str, ...]:
     if isinstance(spec, int):
+        if spec < 0:
+            raise ValueError("token count must be >= 0")
         return tuple(f"{prefix}{k}" for k in range(spec))
     return tuple(spec)
 
@@ -108,9 +110,7 @@ def random_iolts(p: GenParams) -> Iolts:
             transitions.append((src, label, dst))
 
     free = [(0, lab) for lab in labels]  # the unused slots of states 0..k-1, in order
-    for k in range(1, n):
-        if not free:
-            raise ValueError("infeasible parameters: not enough slots to connect all states")
+    for k in range(1, n):  # validate() leaves a label, so step k has k*L - (k-1) >= 1 slots
         src, lab = free.pop(rng.below(len(free)))
         add(src, lab, k)
         free += [(k, lab) for lab in labels]
@@ -271,27 +271,29 @@ def mutate(m: Iolts, rate: float, seed: int, grow: int = 0) -> MutationRecord:
         raise ValueError("not enough legal edits to reach the requested rate")
 
     states = list(m.states)
+    labels = m.inputs + m.outputs
+    if grow:  # the slots a grown state may attach to, in (state, label) order
+        free = [(s, lab) for s in range(n) for lab in labels
+                if not keep_deterministic or not targets.get((s, lab))]
     for g in range(grow):
         new_idx = len(states)
         name = f"g{g}"
         while name in states:
             name = name + "_"
         states.append(name)
-        labels = m.inputs + m.outputs
-        free = [(s, lab) for s in range(new_idx) for lab in labels
-                if not keep_deterministic or not targets.get((s, lab))]
         if not free:
             raise ValueError("no free slot to attach a grown state")
-        src, lab = free[rng.below(len(free))]
+        k = rng.below(len(free))
+        src, lab = free.pop(k) if keep_deterministic else free[k]
         incoming = (src, lab, new_idx)
         transitions.append(incoming)
         edits.append(MutationEdit("grow", None, incoming))
         out_lab = labels[rng.below(len(labels))]
         outgoing = (new_idx, out_lab, rng.below(new_idx + 1))
         transitions.append(outgoing)
-        for s, lab, t in (incoming, outgoing):
-            targets.setdefault((s, lab), set()).add(t)
         edits.append(MutationEdit("grow", None, outgoing))
+        free += [(new_idx, lab) for lab in labels
+                 if not keep_deterministic or lab != out_lab]
 
     mutated = Iolts(tuple(states), m.initial, m.inputs, m.outputs, tuple(transitions))
     if keep_deterministic and not mutated.is_deterministic:

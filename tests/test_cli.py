@@ -364,3 +364,13 @@ def test_complete_input_enable_mode(files, tmp_path):
                "-o", str(out)])
     assert rc == 0
     assert "s1 a s1" in out.read_text()
+
+
+@pytest.mark.parametrize("counts", [["--inputs", "-1", "--outputs", "1"],
+                                    ["--inputs", "1", "--outputs", "-3"]])
+def test_gen_model_rejects_negative_token_counts(tmp_path, capsys, counts):
+    out = tmp_path / "m.txt"
+    assert main(["gen-model", "--states", "2", *counts, "--no-input-enabled",
+                 "-o", str(out)]) == 2
+    _assert_one_error_line(capsys)
+    assert not out.exists()

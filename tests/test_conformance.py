@@ -1,6 +1,6 @@
 """Both conformance checkers plus the fault-suite construction."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -512,3 +512,44 @@ def test_cover_starts_with_single_witness():
         assert cover[:1] == single, seed
         empty_first += single == ((),) and len(cover) > 1
     assert empty_first >= 5
+
+
+def test_ioco_cover_is_the_ioco_language_check():
+    """Once a fault is found, check_ioco's cover is check_lang with
+    D = otr(spec)·outputs and F = empty, stats included."""
+    faulty = 0
+    for seed in range(40):
+        spec = random_iolts(GenParams(2 + seed % 7, 2, 2, deterministic=seed % 2 == 0,
+                                      input_enabled=False, density=0.5, seed=seed))
+        iut = mutate(spec, 0.3, seed).model
+        if check_ioco(spec, iut).conforms:
+            continue
+        faulty += 1
+        alpha = obs_alphabet(spec)
+        assert check_ioco(spec, iut, "cover") == check_lang(
+            spec, iut, ioco_desirable_language(spec), empty_language(alpha), "cover"), seed
+    assert faulty >= 15
+
+
+def test_verdict_json_stats_are_the_dataclass_fields(m1, m3):
+    alpha = obs_alphabet(m1)
+    for v in (check_ioco(m1, m3),
+              check_lang(m1, m3, ioco_desirable_language(m1), empty_language(alpha))):
+        assert verdict_json(v, "ioco")["stats"] == asdict(v.stats)
+
+
+def test_fault_suite_rejects_languages_over_other_tokens(m1):
+    alpha = obs_alphabet(m1)
+    other = empty_language(alpha[:-1] + ("y",))
+    with pytest.raises(AlphabetMismatchError):
+        build_fault_suite(m1, other, empty_language(alpha))
+    with pytest.raises(AlphabetMismatchError):
+        build_fault_suite(m1, empty_language(alpha), other)
+
+
+def test_unknown_witness_strategy_rejected(m1):
+    alpha = obs_alphabet(m1)
+    with pytest.raises(ValueError, match="^unknown witness strategy 'bogus'$"):
+        check_ioco(m1, m1, witness="bogus")
+    with pytest.raises(ValueError, match="^unknown witness strategy 'bogus'$"):
+        check_lang(m1, m1, empty_language(alpha), empty_language(alpha), witness="bogus")

@@ -390,3 +390,17 @@ def test_witness_is_minimal():
         assert a.accepts(w)
         if w:
             assert not bounded_language(a, len(w) - 1)
+
+
+def test_complete_flags_a_total_automaton_unchanged():
+    total = Dfsa(("a", "b"), 2, 0, frozenset({1}),
+                 {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 0})
+    done = complete(total)
+    assert done.complete and not total.complete
+    assert done.transitions == total.transitions
+    assert (done.n_states, done.accepting) == (total.n_states, total.accepting)
+
+
+def test_bounded_language_rejects_negative_depth():
+    with pytest.raises(ValueError, match="^depth must be >= 0$"):
+        bounded_language(empty_language(("a",)), -1)

@@ -230,3 +230,10 @@ def test_delta_edge_off_a_self_loop_is_not_a_completion():
     assert not m.is_quiescence_completed
     with pytest.raises(FormatError, match="mentions delta"):
         ensure_quiescence(m)
+
+
+def test_traces_bounded_rejects_bad_arguments(m1):
+    with pytest.raises(ValueError, match="^depth must be >= 0$"):
+        traces_bounded(complete_quiescence(m1), -1)
+    with pytest.raises(FormatError, match="^traces_bounded requires a quiescence-completed"):
+        traces_bounded(m1, 2)

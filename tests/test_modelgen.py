@@ -345,3 +345,22 @@ def test_mutate_runs_out_of_legal_edits():
     m = parse_model("states: s0\ninitial: s0\ninputs: a\noutputs: x\ntransitions:\ns0 a s0\n")
     with pytest.raises(ValueError, match="^not enough legal edits to reach the requested rate$"):
         mutate(m, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("inputs, outputs", [(-1, 1), (1, -3)])
+def test_negative_token_counts_rejected(inputs, outputs):
+    p = GenParams(2, inputs, outputs, input_enabled=False)
+    with pytest.raises(ValueError, match="^token count must be >= 0$"):
+        random_iolts(p)
+
+
+def test_splitmix_below_needs_a_positive_bound():
+    with pytest.raises(ValueError, match="^below\\(\\) needs a positive bound$"):
+        SplitMix64(0).below(0)
+
+
+def test_grown_state_avoids_taken_names():
+    m = parse_model("states: s0 g0\ninitial: s0\ninputs: a\noutputs: x\n"
+                    "transitions:\ns0 a g0\ng0 x s0\n")
+    grown = mutate(m, 0.5, seed=3, grow=1).model
+    assert grown.states == ("s0", "g0", "g0_")

@@ -276,3 +276,20 @@ def test_fault_model_directory_roundtrip(tmp_path, m1):
     assert manifest["tp_count"] == len(model.tps)
     loaded = read_fault_model(str(target))
     assert loaded == model
+
+
+def test_replay_rejects_words_the_multigraph_lacks(m1):
+    g = build_multigraph(ensure_quiescence(m1), 2)
+    assert g.replay(["x"])[-1] == "fail"
+    with pytest.raises(ValueError, match="^word continues past fail$"):
+        g.replay(["x", "a"])
+    with pytest.raises(ValueError, match="^label 'a' undefined at node "):
+        g.replay(["a", "a"])
+
+
+def test_path_limit_must_be_positive(m1):
+    g = build_multigraph(ensure_quiescence(m1), 2)
+    with pytest.raises(ValueError, match="^path limit must be >= 1$"):
+        enumerate_fault_paths(g, 0)
+    with pytest.raises(ValueError, match="^path limit must be >= 1$"):
+        generate_fault_model(m1, 2, limit=0)
