@@ -13,7 +13,7 @@ exploits as a cross-oracle and ``check_ioco`` uses for its transition cover.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .errors import AlphabetMismatchError
 from .fsa import (
@@ -184,7 +184,9 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
     _require_same_alphabets(spec, iut)
     ds, suite = determinize(ensure_quiescence(spec)), build_fault_suite(spec, d, f)
     # ties break in the suite's order, not the IUT's
-    di = replace(determinize(ensure_quiescence(iut)), alphabet=suite.alphabet)
+    di = determinize(ensure_quiescence(iut))
+    di = Dfsa._built(suite.alphabet, di.n_states, di.initial, di.accepting, di.transitions,
+                     di.complete)
     completed_sizes = (a.n_states + (len(a.transitions) != a.n_states * len(a.alphabet))
                        for a in (d, f))  # complete(a).n_states, without completing
     stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet), *completed_sizes,

@@ -15,7 +15,11 @@ breadth-first core numbers like every other automaton.
 
 Nondeterministic automata have one encoding, adjacency rows of
 ``(label, target)`` moves, and one subset construction, ``_subset_dfsa``,
-shared by compiled regexes and ``iolts.determinize`` (``tau`` is silent).  The
+shared by compiled regexes and ``iolts.determinize`` (``tau`` is silent).  It
+tabulates each state's closed moves once per call: per token, the bitmask of
+the silent closure of the state's targets.  A subset is an int bitmask; it
+steps by OR-ing its members' masks, and its acceptance is read off the mask.
+Automata built here skip the constructor's checks (``Dfsa._built``).  The
 regex parser reads the tokens in one loop over a stack of open groups (at most
 100) and emits Thompson's construction straight into such rows, with no syntax
 tree in between; a word list is the alternation of its words.  Nothing here
@@ -24,8 +28,7 @@ recurses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cache
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, FormatError
@@ -74,6 +77,15 @@ class Dfsa:
         if self.complete and len(self.transitions) != self.n_states * len(self.alphabet):
             raise FormatError("automaton flagged complete is partial")
 
+    @classmethod
+    def _built(cls, alphabet, n_states, initial, accepting, transitions, complete) -> Dfsa:
+        """The automaton with these fields, without ``__post_init__``'s checks:
+        for automata the package builds, well formed by construction."""
+        a = object.__new__(cls)
+        a.__dict__.update(alphabet=alphabet, n_states=n_states, initial=initial,
+                          accepting=accepting, transitions=transitions, complete=complete)
+        return a
+
     def step(self, state: int, token: str) -> int | None:
         return self.transitions.get((state, token))
 
@@ -117,8 +129,8 @@ def _search_dfsa(alphabet: tuple[str, ...], start, successors, accepts) -> Dfsa:
     """The automaton on the ``_explore`` numbering; key k accepts iff accepts(k)."""
     keys, trans = _explore(start, successors)
     n = len(keys)
-    return Dfsa(alphabet, n, 0, frozenset(i for i, k in enumerate(keys) if accepts(k)),
-                trans, complete=len(trans) == n * len(alphabet))
+    return Dfsa._built(alphabet, n, 0, frozenset(i for i, k in enumerate(keys) if accepts(k)),
+                       trans, len(trans) == n * len(alphabet))
 
 
 def _first_word(start, successors, goal) -> tuple[str, ...] | None:
@@ -146,31 +158,41 @@ def _first_word(start, successors, goal) -> tuple[str, ...] | None:
 def _subset_dfsa(rows, internal, start: int, alphabet: tuple[str, ...], accepts) -> Dfsa:
     """Subset construction over adjacency rows: ``rows[s]`` lists the
     ``(label, target)`` moves of state s, and moves labelled ``internal`` are
-    silent.  A key is a set of states closed under silent moves, so a label
-    with no targets is a missing move, never an empty subset.  Subset S
-    accepts iff accepts(S).  Each distinct target set is closed once."""
-    @cache
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(seen)
+    silent.  A key is the int bitmask (bit s for state s) of a set closed
+    under silent moves, so a label with no targets is a missing move, never an
+    empty subset; key k accepts iff accepts(k).  The table ``closed[s][i]``
+    holds the mask of the silent closure of s's targets on ``alphabet[i]``; a
+    key steps to the OR of its members' masks, found by walking its set bits."""
+    reach = []  # reach[s]: the mask of the silent closure of s
+    for s in range(len(rows)):
+        mask, stack = 1 << s, [s]
         while stack:
             for label, t in rows[stack.pop()]:
-                if label == internal and t not in seen:
-                    seen.add(t)
+                if label == internal and not mask >> t & 1:
+                    mask |= 1 << t
                     stack.append(t)
-        return frozenset(seen)
+        reach.append(mask)
+    column = {tok: i for i, tok in enumerate(alphabet)}
+    closed = [[0] * len(alphabet) for _ in rows]
+    for s, row in enumerate(rows):
+        for label, t in row:
+            if label != internal:
+                closed[s][column[label]] |= reach[t]
 
-    def moves(subset):
-        targets: dict = {}
-        for s in subset:
-            for label, t in rows[s]:
-                if label != internal:
-                    targets.setdefault(label, set()).add(t)
-        for tok in alphabet:
-            if tok in targets:
-                yield tok, closure(frozenset(targets[tok]))
+    def moves(key):
+        members = []
+        while key:
+            low = key & -key
+            members.append(closed[low.bit_length() - 1])
+            key ^= low
+        for i, tok in enumerate(alphabet):
+            mask = 0
+            for row in members:
+                mask |= row[i]
+            if mask:
+                yield tok, mask
 
-    return _search_dfsa(alphabet, closure(frozenset((start,))), moves, accepts)
+    return _search_dfsa(alphabet, reach[start], moves, accepts)
 
 
 def empty_language(alphabet: Sequence[str]) -> Dfsa:
@@ -188,27 +210,20 @@ def complete(a: Dfsa) -> Dfsa:
     """
     if a.complete:
         return a
-    missing = [
-        (s, tok)
-        for s in range(a.n_states)
-        for tok in a.alphabet
-        if (s, tok) not in a.transitions
-    ]
-    if not missing:
-        return replace(a, complete=True)
     sink = a.n_states
-    trans = dict(a.transitions)
-    for pair in missing:
-        trans[pair] = sink
-    for tok in a.alphabet:
-        trans[(sink, tok)] = sink
-    return Dfsa(a.alphabet, a.n_states + 1, a.initial, a.accepting, trans, complete=True)
+    gaps = {(s, tok): sink for s in range(sink) for tok in a.alphabet
+            if (s, tok) not in a.transitions}
+    if not gaps:
+        return Dfsa._built(a.alphabet, sink, a.initial, a.accepting, a.transitions, True)
+    gaps.update(((sink, tok), sink) for tok in a.alphabet)
+    return Dfsa._built(a.alphabet, sink + 1, a.initial, a.accepting, a.transitions | gaps, True)
 
 
 def complement(a: Dfsa) -> Dfsa:
     """Accept exactly the words ``a`` rejects (completing first if needed)."""
     c = complete(a)
-    return replace(c, accepting=frozenset(range(c.n_states)) - c.accepting)
+    return Dfsa._built(c.alphabet, c.n_states, c.initial,
+                       frozenset(range(c.n_states)) - c.accepting, c.transitions, True)
 
 
 def _product_moves(a: Dfsa, b: Dfsa):
@@ -271,20 +286,11 @@ def bounded_language(a: Dfsa, depth: int) -> set[tuple[str, ...]]:
         raise ValueError("depth must be >= 0")
     words: set[tuple[str, ...]] = set()
     frontier: list[tuple[int, tuple[str, ...]]] = [(a.initial, ())]
-    if a.initial in a.accepting:
-        words.add(())
-    for _ in range(depth):
-        nxt: list[tuple[int, tuple[str, ...]]] = []
-        for state, word in frontier:
-            for tok in a.alphabet:
-                t = a.step(state, tok)
-                if t is None:
-                    continue
-                w = word + (tok,)
-                if t in a.accepting:
-                    words.add(w)
-                nxt.append((t, w))
-        frontier = nxt
+    for length in range(depth + 1):
+        words.update(word for state, word in frontier if state in a.accepting)
+        if length < depth:
+            frontier = [(t, word + (tok,)) for state, word in frontier
+                        for tok, t in a.moves(state)]
     return words
 
 
@@ -440,5 +446,5 @@ def compile_regex(src: str, alphabet: Sequence[str]) -> Dfsa:
                                                       for tok in ln.split()]) for ln in lines])
     else:
         start, end = _parse_regex(lines[0].split(), tokens_set, rows)
-    dfsa = _subset_dfsa(rows, None, start, alpha, lambda subset: end in subset)
+    dfsa = _subset_dfsa(rows, None, start, alpha, lambda mask: mask >> end & 1)
     return _minimize(complete(dfsa))

@@ -109,7 +109,7 @@ class Iolts:
     @cached_property
     def _determinization(self) -> Dfsa:
         return _subset_dfsa(self._adjacency, TAU, self.initial, self.observable_alphabet,
-                            lambda subset: True)
+                            lambda mask: True)
 
     def transitions_from(self, state: int) -> tuple[tuple[str, int], ...]:
         return self._adjacency[state]

@@ -44,19 +44,10 @@ class RunReport:
 
 
 def report_json(report: RunReport) -> dict:
-    return {
-        "overall": report.overall,
-        "tps": [
-            {
-                "id": r.index,
-                "verdict": r.verdict,
-                "witness": list(r.witness) if r.witness is not None else None,
-                "incomplete": r.incomplete,
-            }
-            for r in report.results
-        ],
-        "elapsed_ms": report.elapsed_ms,
-    }
+    tps = [{"id": r.index, "verdict": r.verdict,
+            "witness": list(r.witness) if r.witness is not None else None,
+            "incomplete": r.incomplete} for r in report.results]
+    return {"overall": report.overall, "tps": tps, "elapsed_ms": report.elapsed_ms}
 
 
 def run_tp(iut: Iolts, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None, bool]:

@@ -3,29 +3,38 @@
 import functools
 import itertools
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ioltstest import (
+    TAU,
     Dfsa,
     FormatError,
+    GenParams,
     bounded_language,
+    build_fault_suite,
+    check_lang,
     compile_regex,
     complement,
     complete,
     complete_quiescence,
     determinize,
     empty_language,
+    ensure_quiescence,
     equivalent,
     intersect,
+    ioco_desirable_language,
     is_empty,
     parse_model,
+    random_iolts,
     shortest_witness,
     union,
 )
-from ioltstest.fsa import _minimize, _search_dfsa
+from ioltstest import conformance, fsa
+from ioltstest.fsa import _minimize, _search_dfsa, _subset_dfsa
 from ioltstest.modelgen import SplitMix64
 from conftest import M1_TEXT
 
@@ -404,3 +413,138 @@ def test_complete_flags_a_total_automaton_unchanged():
 def test_bounded_language_rejects_negative_depth():
     with pytest.raises(ValueError, match="^depth must be >= 0$"):
         bounded_language(empty_language(("a",)), -1)
+
+
+# --- the bitmask subset construction against its frozenset predecessor -------
+
+
+def frozenset_subset_dfsa(rows, internal, start, alphabet, accepts):
+    """The subset construction that the bitmask one replaced: keys are
+    frozensets, and each distinct target set is closed once."""
+    @functools.cache
+    def closure(states):
+        seen = set(states)
+        stack = list(seen)
+        while stack:
+            for label, t in rows[stack.pop()]:
+                if label == internal and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
+
+    def moves(subset):
+        targets = {}
+        for s in subset:
+            for label, t in rows[s]:
+                if label != internal:
+                    targets.setdefault(label, set()).add(t)
+        for tok in alphabet:
+            if tok in targets:
+                yield tok, closure(frozenset(targets[tok]))
+
+    return _search_dfsa(alphabet, closure(frozenset((start,))), moves, accepts)
+
+
+def assert_same_automaton(got, want, context):
+    assert got.n_states == want.n_states, context
+    assert list(got.transitions.items()) == list(want.transitions.items()), context
+    assert got.accepting == want.accepting, context
+
+
+def nondeterministic_models(count, max_states=16):
+    """Seeded quiescence-completed models with tau and duplicate-label moves,
+    over a b / x so that the regexes of ``random_regex`` fit their alphabet."""
+    for seed in range(count):
+        spec = random_iolts(GenParams(1 + seed % max_states, ["a", "b"], ["x"],
+                                      deterministic=False, input_enabled=seed % 3 == 0,
+                                      density=0.5, seed=seed))
+        yield seed, spec, ensure_quiescence(spec)
+
+
+def test_subset_construction_matches_frozenset_keys_on_models():
+    """determinize numbers, steps and accepts as the frozenset construction
+    did, and so does an acceptance that reads the mask, on 1-16 state models."""
+    taus = 0
+    for seed, _, m in nondeterministic_models(160):
+        taus += sum(label == TAU for _, label, _ in m.transitions)
+        args = (m._adjacency, TAU, m.initial, m.observable_alphabet)
+        want = frozenset_subset_dfsa(*args, lambda subset: True)
+        assert_same_automaton(determinize(m), want, seed)
+        last = len(m.states) - 1  # subsets holding the last state accept
+        want = frozenset_subset_dfsa(*args, lambda subset: last in subset)
+        assert_same_automaton(_subset_dfsa(*args, lambda mask: mask >> last & 1), want, seed)
+    assert taus > 100
+
+
+def test_subset_construction_matches_frozenset_keys_on_regexes(monkeypatch):
+    """compile_regex's subset automata of Thompson rows equal the frozenset
+    construction's, on seeded regexes and #finite word lists."""
+    pairs = []
+
+    def both(rows, internal, start, alphabet, accepts):
+        # the whole regex's end state is the last row made, and has no moves
+        end = len(rows) - 1
+        assert not rows[end]
+        got = _subset_dfsa(rows, internal, start, alphabet, accepts)
+        pairs.append((got, frozenset_subset_dfsa(rows, internal, start, alphabet,
+                                                 lambda subset: end in subset)))
+        return got
+
+    monkeypatch.setattr(fsa, "_subset_dfsa", both)
+    rng = SplitMix64(21)
+    sources = [random_regex(rng, depth=4) for _ in range(200)]
+    for _ in range(100):
+        words = [" ".join(ABX[rng.below(3)] for _ in range(rng.below(7))) or "%empty"
+                 for _ in range(1 + rng.below(10))]
+        sources.append("#finite\n" + "\n".join(words))
+    for src in sources:
+        compile_regex(src, ABX)
+    assert len(pairs) == len(sources)
+    for src, (got, want) in zip(sources, pairs):
+        assert_same_automaton(got, want, src)
+        assert got.accepting, src  # every source above has a word
+
+
+# --- internal builds skip validation; the public constructor checks them -----
+
+
+def test_internal_builds_pass_the_public_constructor(monkeypatch):
+    """Every automaton built without the constructor's checks is one the
+    constructor accepts, with the complete flag set exactly when total."""
+    suite_iuts = []
+    real_product_moves = conformance._product_moves
+
+    def spy(a, b):  # check_lang's det(IUT) on the suite's alphabet
+        suite_iuts.append(a)
+        return real_product_moves(a, b)
+
+    monkeypatch.setattr(conformance, "_product_moves", spy)
+    rng = SplitMix64(22)
+    built = []
+    for seed, spec, c in nondeterministic_models(60, max_states=10):
+        alphabet = c.observable_alphabet
+        det = determinize(c)
+        d = ioco_desirable_language(spec)
+        f = compile_regex(random_regex(rng), alphabet)
+        suite = build_fault_suite(spec, d, f)
+        iut = random_iolts(GenParams(1 + seed % 6, ["a", "b"], ["x"], deterministic=False,
+                                     input_enabled=False, density=0.5, seed=1000 + seed))
+        check_lang(spec, iut, d, f)
+        built += [det, d, f, suite, complete(det), complement(det), complete(d),
+                  complement(f), intersect(det, f), union(d, f)]
+    assert len(suite_iuts) == 60
+    built += suite_iuts
+    for a in built:
+        assert a.complete == (len(a.transitions) == a.n_states * len(a.alphabet))
+        # the validating constructor raises FormatError on a malformed automaton
+        Dfsa(a.alphabet, a.n_states, a.initial, a.accepting, a.transitions, a.complete)
+
+
+def test_public_construction_paths_still_validate():
+    a = Dfsa(("a",), 2, 0, frozenset({1}), {(0, "a"): 1})
+    with pytest.raises(FormatError, match="initial state out of range"):
+        replace(a, initial=2)
+    with pytest.raises(FormatError, match="flagged complete is partial"):
+        replace(a, complete=True)
+    with pytest.raises(FormatError, match="duplicate token"):
+        empty_language(("a", "a"))
