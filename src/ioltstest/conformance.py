@@ -203,10 +203,14 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
 def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
     """Accepted product words covering every transition on some fault path.
 
-    Every transition of the reachable iut x suite product that lies on at
-    least one path from the initial to an accepting state is traversed by at
-    least one returned word.  Words come out shortest-first, ties broken by
-    alphabet declaration order; the list is empty iff the product language is.
+    A transition of the reachable iut x suite product is fault-relevant when
+    it lies on some path from the initial to an accepting state.  Each one
+    contributes its least shortest fault word, the least shortest word to its
+    source, then its token, then the least shortest word from its target to
+    acceptance ("least" in alphabet declaration order).  Each distinct word
+    comes out once, shortest first, ties broken by alphabet order, the empty
+    word first when the initial state accepts; the list is empty iff the
+    product language is.
     """
     # the product, explored but not built: key i is keys[i], state 0 initial,
     # and trans lists each key's moves in search order
@@ -227,19 +231,18 @@ def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
                 dist[p] = dist[s] + 1
                 order.append(p)
     # word(src, tok) = prefix[src] + tok + suffix[dst].  The prefix follows
-    # first-discovery edges (up): shortest, and least in alphabet order.  The
-    # suffix follows each state's first move in alphabet order that gets one
-    # step closer (down).  Both come from one pass over trans, which is in
-    # search order.  Words spell alphabet ranks as code points, so they
-    # concatenate and compare as strings; chosen words are spelled on return.
+    # first-discovery edges: shortest, and least in alphabet order.  The suffix
+    # follows each state's first move in alphabet order that gets one step
+    # closer (down).  Both come from one pass over trans, which is in search
+    # order.  Words spell alphabet ranks as code points, so they concatenate and
+    # compare as strings; they are spelled as tokens on return.
     alphabet = iut.alphabet
-    k = len(alphabet)
     rank = {tok: chr(i) for i, tok in enumerate(alphabet)}
-    up, down = [-1] * n, [-1] * n
-    prefix, suffix = [""] * n, [""] * n
+    down = [-1] * n
+    prefix, suffix = [None] * n, [""] * n
+    prefix[0] = ""
     for (src, tok), dst in trans.items():
-        if up[dst] < 0 and dst:
-            up[dst] = src
+        if prefix[dst] is None:
             prefix[dst] = prefix[src] + rank[tok]
         if down[src] < 0 and dist[src] > 0 and dist[dst] == dist[src] - 1:
             down[src] = dst
@@ -247,36 +250,10 @@ def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
     for s in order:
         if dist[s]:
             suffix[s] += suffix[down[s]]
-    candidates = []
-    for (src, tok), dst in trans.items():
-        if dist[dst] >= 0:
-            word = prefix[src] + rank[tok] + suffix[dst]
-            candidates.append((len(word), word, src, tok, dst))
-    # equal words traverse every edge that spells them, so ties need no order
-    candidates.sort()
-    # covered[src * k + rank] marks an edge some chosen word traverses.  A
-    # state whose up (down) chain is marked has its whole chain marked, so
-    # each chain edge is marked once.
-    covered = bytearray(n * k)
-    up_marked, down_marked = bytearray(n), bytearray(n)
-    up_marked[0] = 1
-    # an accepting initial state makes the empty word the shortest fault
-    words = [""] if accepting[0] else []
-    for _, word, src, tok, dst in candidates:
-        edge = src * k + ord(rank[tok])
-        if covered[edge]:
-            continue
-        covered[edge] = 1
-        words.append(word)
-        s = src
-        while not up_marked[s]:
-            up_marked[s] = 1
-            covered[up[s] * k + ord(prefix[s][-1])] = 1
-            s = up[s]
-        s = dst
-        while dist[s] and not down_marked[s]:
-            down_marked[s] = 1
-            covered[s * k + ord(suffix[s][0])] = 1
-            s = down[s]
+    words = {prefix[src] + rank[tok] + suffix[dst]
+             for (src, tok), dst in trans.items() if dist[dst] >= 0}
+    # shortest first, ties by rank: two stable sorts; an accepting initial
+    # state makes the empty word the shortest fault
+    words = ([""] if accepting[0] else []) + sorted(sorted(words), key=len)
     spell = dict(zip(rank.values(), alphabet)).__getitem__
     return [tuple(map(spell, w)) for w in words]

@@ -196,10 +196,7 @@ def parse_model(text: str) -> Iolts:
     accepted only in the outputs section (as written by quiescence completion);
     user models should not mention it.
     """
-    states, initial, inputs, outputs, transitions = _read_sections(text)
-    if DELTA in inputs:
-        raise FormatError("reserved name 'delta' may not be declared as an input")
-    return Iolts(states, initial, inputs, outputs, transitions)
+    return Iolts(*_read_sections(text))
 
 
 def serialize_model(m: Iolts, comments: tuple[str, ...] = ()) -> str:

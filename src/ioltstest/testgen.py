@@ -384,7 +384,8 @@ def _tp_file_text(tp: TestPurpose, path: tuple[str, ...]) -> str:
 
 
 def write_fault_model(model: FaultModel, directory: str) -> None:
-    """Write tp-NNNN.iolts files plus a manifest.json describing the run."""
+    """Write tp-NNNN.iolts files plus a manifest.json describing the run, and
+    remove the tp-NNNN.iolts files numbered past the new suite."""
     os.makedirs(directory, exist_ok=True)
     for i, tp in enumerate(model.tps):
         with open(os.path.join(directory, f"tp-{i:04d}.iolts"), "w", encoding="utf-8") as fh:
@@ -403,6 +404,10 @@ def write_fault_model(model: FaultModel, directory: str) -> None:
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+    for name in os.listdir(directory):  # testers of an earlier, longer suite
+        i = name[3:-6]
+        if i.isdecimal() and name == f"tp-{int(i):04d}.iolts" and int(i) >= len(model.tps):
+            os.remove(os.path.join(directory, name))
 
 
 # manifest keys read back, with their JSON types

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError
-from .fsa import _explore, _product_moves
+from .fsa import _first_word, _product_moves
 from .iolts import Iolts, determinize, ensure_quiescence
 from .testgen import FaultModel, TestPurpose, _require_sound
 
@@ -64,20 +64,19 @@ def run_tp(iut: Iolts, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None, bo
     di = determinize(ci)
     terminal = (tp.pass_index, tp.fail_index)
     moves = _product_moves(tp._automaton, di)
-    keys, trans = _explore((tp.initial, di.initial),
-                           lambda key: () if key[0] in terminal else moves(key))
-    fail = next((j for j, key in enumerate(keys) if key[0] == tp.fail_index), None)
-    if fail is None:  # incomplete: some non-terminal key has no move
-        stuck = sum(key[0] not in terminal for key in keys) - len({i for i, _ in trans})
-        return "pass", None, stuck > 0
-    # each key's first-discovery edge is its earliest entry in trans; followed back
-    # from the lowest-numbered fail key, these edges spell _first_word's word
-    parent = {j: (i, tok) for (i, tok), j in reversed(trans.items())}
-    word = []
-    while fail:
-        fail, tok = parent[fail]
-        word.append(tok)
-    return "fail", tuple(reversed(word)), False
+    stuck = False  # incomplete: some non-terminal key has no move
+
+    def successors(key):
+        nonlocal stuck
+        if key[0] in terminal:
+            return ()
+        found = moves(key)
+        stuck = stuck or not found
+        return found
+
+    word = _first_word((tp.initial, di.initial), successors, lambda key: key[0] == tp.fail_index)
+    # with no fail key found, every reachable key was expanded: stuck is final
+    return ("pass", None, stuck) if word is None else ("fail", word, False)
 
 
 def _check_alphabets(ci: Iolts, observed: tuple[str, ...], emitted: tuple[str, ...]) -> None:

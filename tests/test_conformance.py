@@ -493,6 +493,40 @@ def test_cover_matches_reference_at_scale():
     assert words >= 2000
 
 
+def _defined_cover(di, suite):
+    """The cover as its definition: the least shortest word through each edge
+    that reaches acceptance, each distinct word once, sorted by (length,
+    alphabet ranks), the empty word first when the initial state accepts."""
+    prod = intersect(di, suite)
+    prefix = [shortest_witness(replace(prod, accepting=frozenset({s})))
+              for s in range(prod.n_states)]
+    suffix = [shortest_witness(replace(prod, initial=t)) for t in range(prod.n_states)]
+    words = {prefix[src] + (tok,) + suffix[dst]
+             for (src, tok), dst in prod.transitions.items() if suffix[dst] is not None}
+    rank = {tok: i for i, tok in enumerate(prod.alphabet)}
+    empty = [()] if prod.initial in prod.accepting else []
+    return empty + sorted(words, key=lambda w: (len(w), [rank[t] for t in w]))
+
+
+def test_cover_is_its_definition():
+    """On the cover cases and at scale, the cover is one least shortest fault
+    word per fault-relevant edge, with no search beyond removing repeats."""
+    faults = 0
+    scale = ((spec, mutate(spec, 0.02, seed).model, ioco_desirable_language(spec),
+              empty_language(obs_alphabet(spec)))
+             for seed in range(8)
+             for spec in [random_iolts(GenParams(25 + seed % 6, ["a", "b"], ["x", "y"],
+                                                 deterministic=True, input_enabled=False,
+                                                 density=0.5, seed=0x5CA1E + seed))])
+    for i, (spec, iut, d, f) in enumerate([c[1:] for c in _cover_cases()] + list(scale)):
+        di = determinize(ensure_quiescence(iut))
+        suite = build_fault_suite(spec, d, f)
+        words = witnesses_transition_cover(di, suite)
+        assert words == _defined_cover(di, suite), i
+        faults += bool(words)
+    assert faults >= 48
+
+
 def test_cover_alphabet_mismatch():
     """Operands over different token sets are refused, as intersect refuses them."""
     a = empty_language(["a", "x"])

@@ -278,6 +278,21 @@ def test_fault_model_directory_roundtrip(tmp_path, m1):
     assert loaded == model
 
 
+def test_rewrite_removes_stale_testers_only(tmp_path, four_state):
+    """Writing 3 paths where 8 were written removes tp-0003 ... tp-0007 and
+    leaves files of other names alone."""
+    target = tmp_path / "suite"
+    write_fault_model(generate_fault_model(four_state, m=2, limit=8), str(target))
+    (target / "notes.txt").write_text("kept\n")
+    (target / "tp-0005.iolts.bak").write_text("kept\n")
+    model = generate_fault_model(four_state, m=2, limit=3)
+    write_fault_model(model, str(target))
+    assert sorted(p.name for p in target.iterdir()) == [
+        "manifest.json", "notes.txt", "tp-0000.iolts", "tp-0001.iolts", "tp-0002.iolts",
+        "tp-0005.iolts.bak"]
+    assert read_fault_model(str(target)) == model
+
+
 def test_replay_rejects_words_the_multigraph_lacks(m1):
     g = build_multigraph(ensure_quiescence(m1), 2)
     assert g.replay(["x"])[-1] == "fail"
