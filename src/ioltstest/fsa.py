@@ -9,9 +9,13 @@ one word per line, and an empty source denotes the empty language.
 The algebra provides completion, complement, product intersection and union,
 emptiness, and shortest accepted words; the conformance suite fuses them into
 one pass, which they serve as reference.  Products are left unminimized so that
-suite-size bounds stay directly observable; only compiled regexes are
-minimized, by Hopcroft's refinement on block ids, whose quotient the
-breadth-first core numbers like every other automaton.
+suite-size bounds stay directly observable; only compiled sources are minimal.
+A one-line regex is minimized by Hopcroft's refinement on block ids.  A word
+list is built minimal from the trie of its words, whose nodes are merged
+children first through a register of ``(accepting, moves)`` signatures
+(Revuz 1992; Daciuk et al. 2000), with no subset construction.  The
+breadth-first core numbers both results like every other automaton, so equal
+languages compile to identical automata.
 
 Nondeterministic automata have one encoding, adjacency rows of
 ``(label, target)`` moves, and one subset construction, ``_subset_dfsa``,
@@ -22,8 +26,7 @@ steps by OR-ing its members' masks, and its acceptance is read off the mask.
 Automata built here skip the constructor's checks (``Dfsa._built``).  The
 regex parser reads the tokens in one loop over a stack of open groups (at most
 100) and emits Thompson's construction straight into such rows, with no syntax
-tree in between; a word list is the alternation of its words.  Nothing here
-recurses.
+tree in between.  Nothing here recurses.
 """
 
 from __future__ import annotations
@@ -370,7 +373,8 @@ def _parse_regex(tokens: list[str], alphabet: set[str], rows: list) -> tuple[int
 
 def _minimize(a: Dfsa) -> Dfsa:
     """Hopcroft's partition refinement on block ids (smaller-half rule), then
-    the quotient, numbered breadth-first; expects a complete automaton."""
+    the quotient, numbered breadth-first; expects a complete automaton.  Used
+    for one-line regexes; word lists are built minimal (``_word_list_dfsa``)."""
     pre: dict[str, list[list[int]]] = {tok: [[] for _ in range(a.n_states)]
                                        for tok in a.alphabet}
     for (src, tok), dst in a.transitions.items():
@@ -421,12 +425,50 @@ def _split_source(src: str) -> tuple[bool, list[str]]:
     return _FINITE_DIRECTIVE in head, content
 
 
+def _word_list_dfsa(lines: list[str], alpha: tuple[str, ...], tokens_set: set[str]) -> Dfsa:
+    """The minimal complete automaton of the words ``lines``, built from their
+    trie: nodes are merged children first through a register keyed by
+    ``(accepting, moves)``, the moves as a frozenset of ``(token,
+    representative)`` pairs so that insertion order does not matter.  Every
+    missing move goes to one sink."""
+    children: list[dict[str, int]] = [{}]
+    accepting = set()
+    for ln in lines:
+        node = 0
+        for tok in ln.split():
+            if tok == _EMPTY_WORD:
+                continue
+            if tok not in tokens_set:
+                raise FormatError(f"regex literal {tok!r} not in alphabet")
+            nxt = children[node].get(tok)
+            if nxt is None:
+                nxt = children[node][tok] = len(children)
+                children.append({})
+            node = nxt
+        accepting.add(node)
+    rep = list(range(len(children)))
+    register: dict = {}
+    for node in reversed(range(len(children))):  # a child is numbered after its parent
+        row = children[node] = {tok: rep[c] for tok, c in children[node].items()}
+        rep[node] = register.setdefault((node in accepting, frozenset(row.items())), node)
+    sink = len(children)
+    children.append({})
+
+    def moves(node):
+        row = children[node]
+        return [(tok, row.get(tok, sink)) for tok in alpha]
+
+    return _search_dfsa(alpha, 0, moves, accepting.__contains__)
+
+
 def compile_regex(src: str, alphabet: Sequence[str]) -> Dfsa:
-    """Compile a token regex (or finite word list) to a minimized complete Dfsa.
+    """Compile a token regex (or finite word list) to a minimal complete Dfsa.
 
     ``src`` holds either a single regex line, or several lines (optionally
     under a ``#finite`` directive) each denoting one word of a finite language.
-    An empty source denotes the empty language.
+    An empty source denotes the empty language.  A regex goes through
+    Thompson's construction, the subset construction and Hopcroft's
+    refinement; a word list is built minimal from its trie.
 
     Raises FormatError on syntax errors or literals outside ``alphabet``.
     """
@@ -440,11 +482,9 @@ def compile_regex(src: str, alphabet: Sequence[str]) -> Dfsa:
     tokens_set = set(alpha)
     if not lines:
         return empty_language(alpha)
-    rows: list[list[tuple[str | None, int]]] = []
     if finite or len(lines) > 1:
-        start, end = _alternate(rows, [_concat(rows, [_literal(rows, tok, tokens_set)
-                                                      for tok in ln.split()]) for ln in lines])
-    else:
-        start, end = _parse_regex(lines[0].split(), tokens_set, rows)
+        return _word_list_dfsa(lines, alpha, tokens_set)
+    rows: list[list[tuple[str | None, int]]] = []
+    start, end = _parse_regex(lines[0].split(), tokens_set, rows)
     dfsa = _subset_dfsa(rows, None, start, alpha, lambda mask: mask >> end & 1)
     return _minimize(complete(dfsa))

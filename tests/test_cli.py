@@ -127,6 +127,18 @@ def test_check_lang_finite_word_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text, literal", [("a b\nx zz\n", "b"), ("#finite\na ( x\n", "(")])
+def test_check_lang_word_list_error_exits_2(files, tmp_path, capsys, text, literal):
+    """A word list's first bad token, operators included, is named on one line."""
+    forbidden = tmp_path / "f.words"
+    forbidden.write_text(text)
+    assert main(["check-lang", "--spec", files["m1"], "--iut", files["m1"],
+                 "--forbidden", str(forbidden)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"regex literal {literal!r} not in alphabet" in err
+
+
 def test_check_lang_json_stats_are_operand_and_suite_sizes(tmp_path, capsys):
     """--json writes the sizes of the completed D and F and of the suite; the
     stdout bound line is computed from them."""

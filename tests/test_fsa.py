@@ -478,7 +478,8 @@ def test_subset_construction_matches_frozenset_keys_on_models():
 
 def test_subset_construction_matches_frozenset_keys_on_regexes(monkeypatch):
     """compile_regex's subset automata of Thompson rows equal the frozenset
-    construction's, on seeded regexes and #finite word lists."""
+    construction's, on seeded regexes and word lists spelled as one-line
+    alternations (a word list itself is built from its trie)."""
     pairs = []
 
     def both(rows, internal, start, alphabet, accepts):
@@ -496,13 +497,71 @@ def test_subset_construction_matches_frozenset_keys_on_regexes(monkeypatch):
     for _ in range(100):
         words = [" ".join(ABX[rng.below(3)] for _ in range(rng.below(7))) or "%empty"
                  for _ in range(1 + rng.below(10))]
-        sources.append("#finite\n" + "\n".join(words))
+        sources.append(" | ".join(f"( {w} )" for w in words))
     for src in sources:
         compile_regex(src, ABX)
     assert len(pairs) == len(sources)
     for src, (got, want) in zip(sources, pairs):
         assert_same_automaton(got, want, src)
         assert got.accepting, src  # every source above has a word
+
+
+# --- word lists: the trie construction against the Thompson path -----------
+
+
+def seeded_word_lists(rng, alphabet):
+    """Word lists with %empty lines and tokens, duplicates, and shared
+    prefixes and suffixes, each followed by a permutation of itself."""
+    def word(length):
+        return [rng.choice(alphabet) for _ in range(length)]
+
+    def line(tokens):
+        for _ in range(rng.below(3) if rng.chance(0.3) else 0):  # %empty inside a word
+            tokens.insert(rng.below(len(tokens) + 1), "%empty")
+        return " ".join(tokens) or "%empty"
+
+    for _ in range(150):
+        stem, tail = word(rng.below(4)), word(rng.below(4))
+        words = [line((stem if rng.chance(0.5) else []) + word(rng.below(4))
+                      + (tail if rng.chance(0.5) else []))
+                 for _ in range(1 + rng.below(9))]
+        if rng.chance(0.5):
+            words.append(words[rng.below(len(words))])  # a duplicate
+        yield words
+        yield sorted(words, key=lambda _: rng.next_u64())
+
+
+def test_word_lists_compile_as_their_alternation():
+    """A word list compiles to the very automaton, field for field, that the
+    same words give as a one-line alternation through Thompson's construction,
+    the subset construction and Hopcroft's refinement."""
+    rng = SplitMix64(23)
+    abce = ("a", "b", "c", "e")
+    # after "a", the nodes "e" and "c" have the same children, inserted in other orders
+    lists = [(abce, ["a e b", "a e e", "a c e", "a c b"]),
+             (abce, ["a c b", "a e e", "a c e", "a e b"])]
+    for alphabet in (ABX, ("a",), abce):
+        lists += [(alphabet, words) for words in seeded_word_lists(rng, alphabet)]
+    for alphabet, words in lists:
+        want = compile_regex(" | ".join(f"( {w} )" for w in words), alphabet)
+        prefixes = ("#finite\n",) if len(words) == 1 else ("", "#finite\n")
+        for prefix in prefixes:
+            got = compile_regex(prefix + "\n".join(words), alphabet)
+            assert_same_automaton(got, want, words)
+            assert (got.alphabet, got.initial, got.complete) == (
+                want.alphabet, want.initial, want.complete), words
+    assert len(lists) == 902
+
+
+@pytest.mark.parametrize("src, message", [
+    ("a b\nx zz", "regex literal 'b' not in alphabet"),  # the first bad token in line order
+    ("#finite\na ( x", "regex literal '[(]' not in alphabet"),  # operators are literals
+    ("#finite\na | x", "regex literal '[|]' not in alphabet"),
+    ("a\nx %empty *", "regex literal '[*]' not in alphabet"),
+])
+def test_word_list_errors_name_the_first_bad_token(src, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        compile_regex(src, ("a", "x"))
 
 
 # --- internal builds skip validation; the public constructor checks them -----
