@@ -10,7 +10,9 @@ from one row of moves per state, so path search touches only the nodes it
 reaches.  Breadth-first label paths from the initial node to fail are the
 fault words, and each one is completed into a tester: deterministic,
 input-enabled over the outputs-plus-delta it listens to, emitting exactly one
-stimulus per state, with pass/fail terminals.
+stimulus per state, with pass/fail terminals.  The testers and tester files of
+one suite come from one builder over its alphabets, which shares their common
+pieces and checks the alphabets once, at the first path.
 """
 
 from __future__ import annotations
@@ -225,38 +227,100 @@ def path_to_test_purpose(path, inputs, outputs) -> TestPurpose:
     smallest input wherever the chain emits no input, and pass/fail self-loops
     on every observed token.
     """
-    path = tuple(path)
-    observed = tuple(outputs) + ((DELTA,) if DELTA not in outputs else ())
-    emitted = tuple(inputs)
-    if not emitted:
-        raise FormatError("a tester needs at least one input to emit")
-    if not path:
-        raise FormatError("fault path is empty")
-    legal = set(observed) | set(emitted)
-    for tok in path:
-        if tok not in legal:
-            raise FormatError(f"fault path label {tok!r} not in the alphabet")
-    if path[-1] not in set(observed):
-        raise FormatError("fault path must end with an output or delta")
-    chain = [f"t{i}" for i in range(len(path))]
-    states = tuple(chain) + (PASS, FAIL)
-    pass_idx, fail_idx = len(chain), len(chain) + 1
-    transitions: list[tuple[int, str, int]] = []
-    for i, tok in enumerate(path):
-        target = i + 1 if i + 1 < len(path) else fail_idx
-        transitions.append((i, tok, target))
-    for i, tok in enumerate(path):
-        for obs in observed:
-            if obs != tok:
-                transitions.append((i, obs, pass_idx))
-        if tok not in emitted:
-            # keep one stimulus per state: smallest declared input
-            transitions.append((i, emitted[0], pass_idx))
-    for terminal in (pass_idx, fail_idx):
-        for obs in observed:
-            transitions.append((terminal, obs, terminal))
-    return TestPurpose(states, 0, observed, emitted, tuple(transitions),
-                       pass_idx, fail_idx)
+    return _Testers(inputs, outputs).tester(path)
+
+
+class _Testers:
+    """The testers of one pair of model alphabets, built from pieces they all
+    share: on an n-token path, state i on token ``tok`` always gets the same
+    chain edge, pass edges and text lines, cached per (n, i, tok).  The first
+    tester runs the ``TestPurpose`` constructor, which checks the alphabets;
+    later ones skip it, as its other checks hold by construction."""
+
+    def __init__(self, inputs, outputs):
+        outputs = tuple(outputs)
+        self.emitted = tuple(inputs)
+        self.observed = outputs + ((DELTA,) if DELTA not in outputs else ())
+        self._checked = False  # a tester passed the constructor's checks
+        self._edges: dict = {}  # (n, i, tok) -> chain edge, pass edges
+        self._lines: dict = {}  # (n, i, tok) -> their text lines
+        self._frames: dict = {}  # n -> state names, pass/fail loops
+        self._texts: dict = {}  # n -> the text before and after the chain's lines
+
+    def tester(self, path) -> TestPurpose:
+        """The tester of ``path``, checked as ``path_to_test_purpose`` checks:
+        inputs, path, labels (in ``_edges_at``), last token, and then, at the
+        first tester built, the alphabets."""
+        path = tuple(path)
+        if not self.emitted:
+            raise FormatError("a tester needs at least one input to emit")
+        if not path:
+            raise FormatError("fault path is empty")
+        n = len(path)
+        chain, passes = [], []
+        for i, tok in enumerate(path):
+            edge, pass_edges = self._edges_at(n, i, tok)
+            chain.append(edge)
+            passes += pass_edges
+        if path[-1] not in self.observed:
+            raise FormatError("fault path must end with an output or delta")
+        states, loops = self._frame(n)
+        fields = dict(states=states, initial=0, inputs=self.observed, outputs=self.emitted,
+                      transitions=(*chain, *passes, *loops), pass_index=n, fail_index=n + 1)
+        if not self._checked:
+            tp = TestPurpose(**fields)
+            self._checked = True
+            return tp
+        tp = object.__new__(TestPurpose)  # skips the checks, as Dfsa._built does
+        tp.__dict__.update(fields)
+        return tp
+
+    def text(self, path) -> str:
+        """``tp_to_text`` of the tester of ``path``, a path ``tester`` accepts,
+        under a comment naming the path."""
+        n = len(path)
+        states, loops = self._frame(n)
+        if n not in self._texts:
+            self._texts[n] = (_serialize(states, 0, self.observed, self.emitted, (), ()),
+                              _transition_lines(states, loops))
+        chain, passes = [], []
+        for i, tok in enumerate(path):
+            lines = self._lines.get((n, i, tok))
+            if lines is None:
+                edge, pass_edges = self._edges_at(n, i, tok)
+                lines = self._lines[n, i, tok] = (_transition_lines(states, (edge,)),
+                                                  _transition_lines(states, pass_edges))
+            chain.append(lines[0])
+            passes.append(lines[1])
+        head, tail = self._texts[n]
+        return "".join((f"# fault path: {' '.join(path)}\n", head, *chain, *passes, tail))
+
+    def _edges_at(self, n: int, i: int, tok: str) -> tuple:
+        edges = self._edges.get((n, i, tok))
+        if edges is None:
+            if tok not in self.observed and tok not in self.emitted:
+                raise FormatError(f"fault path label {tok!r} not in the alphabet")
+            pass_edges = tuple((i, obs, n) for obs in self.observed if obs != tok)
+            if tok not in self.emitted:
+                # keep one stimulus per state: smallest declared input
+                pass_edges += ((i, self.emitted[0], n),)
+            edges = self._edges[n, i, tok] = ((i, tok, i + 1 if i + 1 < n else n + 1),
+                                              pass_edges)
+        return edges
+
+    def _frame(self, n: int) -> tuple:
+        frame = self._frames.get(n)
+        if frame is None:
+            frame = self._frames[n] = (
+                tuple(f"t{i}" for i in range(n)) + (PASS, FAIL),
+                tuple((t, obs, t) for t in (n, n + 1) for obs in self.observed))
+        return frame
+
+
+def _transition_lines(states, transitions) -> str:
+    """Transition lines in the model format, as ``_serialize`` spells them."""
+    return "".join(f"{states[src]} {label} {states[dst]}\n"
+                   for src, label, dst in transitions)
 
 
 def tp_invariant_violations(tp: TestPurpose) -> list[str]:
@@ -352,8 +416,8 @@ def generate_fault_model(spec: Iolts, m: int, limit: int = 1000) -> FaultModel:
     paths = enumerate_fault_paths(g, limit + 1)
     truncated = len(paths) > limit
     del paths[limit:]
-    user_outputs = tuple(t for t in cs.outputs if t != DELTA)
-    tps = tuple(path_to_test_purpose(p, cs.inputs, user_outputs) for p in paths)
+    testers = _Testers(cs.inputs, (t for t in cs.outputs if t != DELTA))
+    tps = tuple(map(testers.tester, paths))
     return FaultModel(tps, tuple(paths), m, g.n, limit, truncated,
                       cs.inputs, cs.outputs)
 
@@ -379,24 +443,21 @@ def tp_from_text(text: str) -> TestPurpose:
     return tp
 
 
-def _tp_file_text(tp: TestPurpose, path: tuple[str, ...]) -> str:
-    return tp_to_text(tp, comments=(f"fault path: {' '.join(path)}",))
-
-
 def write_fault_model(model: FaultModel, directory: str) -> None:
     """Write tp-NNNN.iolts files plus a manifest.json describing the run, and
     remove the tp-NNNN.iolts files numbered past the new suite."""
     os.makedirs(directory, exist_ok=True)
-    for i, tp in enumerate(model.tps):
+    testers = _Testers(model.inputs, (t for t in model.outputs if t != DELTA))
+    for i, path in enumerate(model.paths):
         with open(os.path.join(directory, f"tp-{i:04d}.iolts"), "w", encoding="utf-8") as fh:
-            fh.write(_tp_file_text(tp, model.paths[i]))
+            fh.write(testers.text(path))
     manifest = {
         "m": model.m,
         "n": model.n,
         "levels": model.levels,
         "limit": model.limit,
         "truncated": model.truncated,
-        "tp_count": len(model.tps),
+        "tp_count": len(model.paths),
         "inputs": list(model.inputs),
         "outputs": list(model.outputs),
         "paths": [list(p) for p in model.paths],
@@ -406,7 +467,7 @@ def write_fault_model(model: FaultModel, directory: str) -> None:
         fh.write("\n")
     for name in os.listdir(directory):  # testers of an earlier, longer suite
         i = name[3:-6]
-        if i.isdecimal() and name == f"tp-{int(i):04d}.iolts" and int(i) >= len(model.tps):
+        if i.isdecimal() and name == f"tp-{int(i):04d}.iolts" and int(i) >= len(model.paths):
             os.remove(os.path.join(directory, name))
 
 
@@ -443,15 +504,14 @@ def read_fault_model(directory: str) -> FaultModel:
         raise FormatError("manifest.json holds more paths than its limit")
     if manifest["truncated"] and len(paths) < manifest["limit"]:
         raise FormatError("manifest.json is truncated with fewer paths than its limit")
-    observed = tuple(t for t in manifest["outputs"] if t != DELTA)
+    testers = _Testers(manifest["inputs"], (t for t in manifest["outputs"] if t != DELTA))
     tps = []
     for i, path in enumerate(paths):
-        tp = path_to_test_purpose(path, manifest["inputs"], observed)
+        tps.append(testers.tester(path))
         name = f"tp-{i:04d}.iolts"
         with open(os.path.join(directory, name), "rb") as fh:
-            if fh.read() != _tp_file_text(tp, path).encode("utf-8"):
+            if fh.read() != testers.text(path).encode("utf-8"):
                 raise FormatError(f"{name} differs from the tester of its manifest path")
-        tps.append(tp)
     return FaultModel(
         tuple(tps),
         paths,

@@ -100,13 +100,14 @@ def run_fault_model(iut: Iolts, model: FaultModel, fail_fast: bool = False,
     ci = ensure_quiescence(iut)
     _check_alphabets(ci, model.outputs, model.inputs)
     di = determinize(ci)
+    step = di.transitions.get
     results: list[TpResult] = []
     for i, path in enumerate(model.paths):
         q = di.initial
         for tok in path:
-            if (nxt := di.step(q, tok)) is None:
+            if (nxt := step((q, tok))) is None:
                 stimulus = tok if tok in model.inputs else model.inputs[0]
-                stuck = all(di.step(q, t) is None for t in (*model.outputs, stimulus))
+                stuck = all(step((q, t)) is None for t in (*model.outputs, stimulus))
                 results.append(TpResult(i, "pass", None, stuck))
                 break
             q = nxt

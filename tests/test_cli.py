@@ -242,6 +242,25 @@ def test_run_suite_rejects_unwritable_manifest(files, tmp_path, capsys, corrupt)
     assert len(err) == 1 and err[0].startswith("error:") and "manifest.json" in err[0]
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda mf: mf.update(inputs=[]),
+    lambda mf: mf["inputs"].append("x"),
+    lambda mf: mf.update(inputs=["tau"]),
+], ids=["no-inputs", "overlap", "reserved"])
+def test_run_suite_rejects_bad_alphabet(files, tmp_path, capsys, corrupt):
+    """The testers of a manifest with paths are built, so their alphabets are
+    checked."""
+    out = tmp_path / "suite"
+    main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(out)])
+    manifest_file = out / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    corrupt(manifest)
+    manifest_file.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["run-suite", "--iut", files["m1"], "--suite", str(out)]) == 2
+    _assert_one_error_line(capsys)
+
+
 def test_run_suite_notes_incomplete_runs(files, tmp_path, capsys):
     """A tau livelock passes every tester but leaves runs incomplete."""
     out = tmp_path / "suite"

@@ -1,6 +1,7 @@
 """Multigraph construction, fault-path enumeration, test-purpose completion."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -24,6 +25,7 @@ from ioltstest import (
     tp_to_text,
     write_fault_model,
 )
+from ioltstest import testgen
 from conftest import INPUT_ONLY_TEXT
 
 
@@ -308,3 +310,112 @@ def test_path_limit_must_be_positive(m1):
         enumerate_fault_paths(g, 0)
     with pytest.raises(ValueError, match="^path limit must be >= 1$"):
         generate_fault_model(m1, 2, limit=0)
+
+
+# the first error of a bad (path, inputs, outputs), in check order: no input,
+# empty path, unknown label, last token not observed, then the alphabets
+@pytest.mark.parametrize("path, inputs, outputs, message", [
+    (("x",), (), ("x",), "a tester needs at least one input to emit"),
+    ((), (), ("x", "x"), "a tester needs at least one input to emit"),
+    (("z",), (), ("x", "x"), "a tester needs at least one input to emit"),
+    ((), ("a",), ("x",), "fault path is empty"),
+    ((), ("a",), ("a",), "fault path is empty"),
+    (("z", "a"), ("a",), ("x",), "fault path label 'z' not in the alphabet"),
+    (("a", "z"), ("a",), ("a",), "fault path label 'z' not in the alphabet"),
+    (("a",), ("a",), ("x",), "fault path must end with an output or delta"),
+    (("a",), ("a", "a"), ("x",), "fault path must end with an output or delta"),
+    (("a",), ("a",), ("a",), "test purpose alphabets overlap"),
+    (("x",), ("a",), ("x", "x"), "test purpose alphabets overlap"),
+    (("x",), ("a", "a"), ("x",), "test purpose alphabets overlap"),
+    (("x",), ("a", "delta"), ("x",), "test purpose alphabets overlap"),
+    (("x",), ("a", "delta"), ("x", "delta"), "test purpose alphabets overlap"),
+    (("x",), ("a", "tau"), ("x", "x"), "test purpose alphabets overlap"),
+    (("x",), ("tau",), ("x",), "reserved name used as a test purpose action"),
+    (("x",), ("a",), ("x", "pass"), "reserved name used as a test purpose action"),
+    (("fail",), ("a",), ("fail",), "reserved name used as a test purpose action"),
+])
+def test_path_to_test_purpose_error_order(path, inputs, outputs, message):
+    """A suite's builder reports the same first error at every path, as one
+    call per path does: a failed alphabet check is not remembered as passed."""
+    testers = testgen._Testers(inputs, outputs)
+    for build in (lambda: path_to_test_purpose(path, inputs, outputs),
+                  lambda: testers.tester(path), lambda: testers.tester(path)):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_suite_checks_its_alphabets_once(monkeypatch, four_state, tmp_path):
+    """Generating or reading a suite runs the tester constructor's checks at its
+    first path only; a single ``path_to_test_purpose`` call runs them once."""
+    checks, post_init = [0], testgen.TestPurpose.__post_init__
+
+    def counted(self):
+        checks[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(testgen.TestPurpose, "__post_init__", counted)
+    model = generate_fault_model(four_state, m=2, limit=50)
+    assert len(model.tps) == 50 and checks == [1]
+    write_fault_model(model, str(tmp_path))
+    assert read_fault_model(str(tmp_path)) == model and checks == [2]
+    path_to_test_purpose(("a", "x"), ("a",), ("x",))
+    assert checks == [3]
+
+
+@pytest.mark.parametrize("inputs, outputs", [
+    ([], ["x", "delta"]), (["x"], ["x", "delta"]), (["a"], ["a", "delta"]),
+], ids=["no-inputs", "overlap", "overlap-2"])
+def test_pathless_manifest_loads_with_any_alphabet(tmp_path, inputs, outputs):
+    """Alphabets are checked when the first tester is built, so a manifest
+    without paths loads whatever its alphabets are."""
+    manifest = {"m": 1, "n": 1, "levels": 2, "limit": 1, "truncated": False,
+                "tp_count": 0, "inputs": inputs, "outputs": outputs, "paths": []}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    model = read_fault_model(str(tmp_path))
+    assert (model.tps, model.paths, model.inputs, model.outputs) == (
+        (), (), tuple(inputs), tuple(outputs))
+
+
+def _reference_tester(path, inputs, outputs):
+    """The tester of ``path`` built edge by edge: chain edges, then each chain
+    state's pass edges, then the pass/fail self-loops."""
+    observed = outputs + ((DELTA,) if DELTA not in outputs else ())
+    n = len(path)
+    transitions = [(i, tok, i + 1 if i + 1 < n else n + 1) for i, tok in enumerate(path)]
+    for i, tok in enumerate(path):
+        transitions += [(i, obs, n) for obs in observed if obs != tok]
+        if tok not in inputs:
+            transitions.append((i, inputs[0], n))
+    transitions += [(t, obs, t) for t in (n, n + 1) for obs in observed]
+    states = tuple(f"t{i}" for i in range(n)) + ("pass", "fail")
+    return testgen.TestPurpose(states, 0, observed, inputs, tuple(transitions), n, n + 1)
+
+
+def _oracle_cases():
+    """(inputs, outputs, paths) of seeded specs and of hand-made paths."""
+    for seed in range(36):
+        spec = ensure_quiescence(random_iolts(GenParams(
+            states=1 + seed % 5, inputs=1 + seed % 4, outputs=1 + seed // 4 % 4,
+            input_enabled=seed % 3 != 0, seed=seed)))
+        model = generate_fault_model(spec, m=1 + seed % 3, limit=150)
+        yield model.inputs, tuple(t for t in model.outputs if t != DELTA), model.paths
+    yield ("a", "b"), ("x", "y"), (
+        ("x",), ("delta",), ("y", "x"), ("x", "y", "x"), ("a", "delta"),
+        ("b", "a", "delta"), ("x", "delta", "y", "delta"), ("a",) * 3000 + ("x",),
+        ("b", "x"), ("a", "b", "y"), ("y",) * 3 + ("delta",))
+
+
+def test_shared_piece_testers_match_reference():
+    """Testers and texts from one builder per suite, whose pieces are shared
+    across paths of different lengths, equal the edge-by-edge reference and
+    the constructor's rebuild, pass the invariants, and spell ``tp_to_text``."""
+    for inputs, outputs, paths in _oracle_cases():
+        testers = testgen._Testers(inputs, outputs)
+        for path in paths:
+            tp = testers.tester(path)
+            reference = _reference_tester(path, inputs, outputs)
+            assert tp == reference == replace(tp)  # replace runs the constructor
+            assert repr(tp) == repr(reference)
+            assert tp_invariant_violations(tp) == []
+            assert testers.text(path) == tp_to_text(
+                tp, comments=(f"fault path: {' '.join(path)}",))
