@@ -1,8 +1,9 @@
 """Command-line surface: conformance checks, suite generation/run, model tools.
 
 Exit codes: 0 for conformance / all tests passing, 1 for detected
-non-conformance or test failure, 2 for usage or input errors, 3 for an internal
-error (its traceback goes to stderr).  Human-readable output goes to stdout,
+non-conformance or test failure, 2 for usage or input errors (an input too
+large for the available memory among them), 3 for an internal error (its
+traceback goes to stderr).  Human-readable output goes to stdout,
 diagnostics to stderr, machine-readable verdicts to the file named by --json.
 """
 
@@ -14,7 +15,7 @@ import sys
 import traceback
 
 from . import modelgen, testgen, testrun
-from .conformance import check_ioco, check_lang, verdict_json
+from .conformance import WITNESS_STRATEGIES, check_ioco, check_lang, verdict_json
 from .errors import IoltsTestError
 from .fsa import Dfsa, compile_regex, empty_language
 from .iolts import (
@@ -98,7 +99,7 @@ def _cmd_gen_suite(args) -> int:
     model = testgen.generate_fault_model(spec, args.m, args.limit)
     testgen.write_fault_model(model, args.output)
     print(f"levels: {model.levels}")
-    print(f"test purposes: {len(model.tps)}")
+    print(f"test purposes: {len(model.paths)}")
     if model.truncated:
         print("warning: fault model truncated at the path limit; "
               "completeness not guaranteed", file=sys.stderr)
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-ioco", help="direct ioco conformance check")
     p.add_argument("--spec", required=True)
     p.add_argument("--iut", required=True)
-    p.add_argument("--witness", choices=("single", "cover"), default="single")
+    p.add_argument("--witness", choices=WITNESS_STRATEGIES, default="single")
     p.add_argument("--json", metavar="FILE")
     p.set_defaults(handler=_cmd_check_ioco)
 
@@ -186,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iut", required=True)
     p.add_argument("--desirable", metavar="FILE")
     p.add_argument("--forbidden", metavar="FILE")
-    p.add_argument("--witness", choices=("single", "cover"), default="single")
+    p.add_argument("--witness", choices=WITNESS_STRATEGIES, default="single")
     p.add_argument("--json", metavar="FILE")
     p.set_defaults(handler=_cmd_check_lang)
 
@@ -249,6 +250,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (IoltsTestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: the input is too large for the available memory", file=sys.stderr)
         return EXIT_USAGE
     except Exception:  # a defect, not bad input: keep the traceback
         traceback.print_exc()

@@ -9,6 +9,10 @@ model is the prefix-closed set of its tau-free label sequences.
 of ``fsa`` over the model's adjacency rows; ``traces_bounded`` enumerates it
 with its own tau-closure, so each cross-checks the other.
 
+The line format of models and testers has its one reader, ``_read_sections``,
+and its one writer, ``_serialize``, here; both take the section names from
+``_SECTIONS``.
+
 State order is declaration order and is semantically load-bearing: it defines
 the state indices used by the multigraph construction and every tie-breaking
 rule downstream, so all transformations preserve it.
@@ -25,9 +29,11 @@ from .fsa import Dfsa, _subset_dfsa
 
 TAU = "tau"
 DELTA = "delta"
+PASS = "pass"  # the terminal states of a tester
+FAIL = "fail"
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_RESERVED_NAMES = frozenset({"tau", "delta", "pass", "fail"})
+_RESERVED_NAMES = frozenset({TAU, DELTA, PASS, FAIL})
 _SECTIONS = ("states", "initial", "inputs", "outputs")
 
 
@@ -206,18 +212,17 @@ def serialize_model(m: Iolts, comments: tuple[str, ...] = ()) -> str:
 
 
 def _serialize(states, initial, inputs, outputs, transitions, comments) -> str:
-    def section(name: str, tokens) -> str:
-        return f"{name}:" + ("" if not tokens else " " + " ".join(tokens))
-
     lines = [f"# {c}" for c in comments]
-    lines.append(section("states", states))
-    lines.append(section("initial", [states[initial]]))
-    lines.append(section("inputs", inputs))
-    lines.append(section("outputs", outputs))
-    lines.append("transitions:")
-    for src, label, dst in transitions:
-        lines.append(f"{states[src]} {label} {states[dst]}")
-    return "\n".join(lines) + "\n"
+    for name, tokens in zip(_SECTIONS, (states, (states[initial],), inputs, outputs)):
+        lines.append(" ".join((f"{name}:", *tokens)))
+    lines.append("transitions:\n")
+    return "\n".join(lines) + _transition_lines(states, transitions)
+
+
+def _transition_lines(states, transitions) -> str:
+    """One ``<src> <label> <dst>`` line per transition, each ending in a newline."""
+    return "".join([f"{states[src]} {label} {states[dst]}\n"
+                    for src, label, dst in transitions])
 
 
 # --- quiescence ------------------------------------------------------------

@@ -20,21 +20,22 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import FormatError
 from .fsa import Dfsa, _explore
 from .iolts import (
     DELTA,
+    FAIL,
+    PASS,
+    TAU,
     Iolts,
     _read_sections,
     _serialize,
+    _transition_lines,
     ensure_quiescence,
 )
-
-FAIL = "fail"
-PASS = "pass"
 
 Node = tuple[int, int]  # (state index, level)
 
@@ -184,7 +185,7 @@ class TestPurpose:
         names = set(self.inputs) | set(self.outputs)
         if len(names) != len(self.inputs) + len(self.outputs):
             raise FormatError("test purpose alphabets overlap")
-        if "tau" in names or PASS in names or FAIL in names:
+        if not names.isdisjoint((TAU, PASS, FAIL)):
             raise FormatError("reserved name used as a test purpose action")
         if DELTA in self.outputs:
             raise FormatError("delta belongs to the observed side of a test purpose")
@@ -317,12 +318,6 @@ class _Testers:
         return frame
 
 
-def _transition_lines(states, transitions) -> str:
-    """Transition lines in the model format, as ``_serialize`` spells them."""
-    return "".join(f"{states[src]} {label} {states[dst]}\n"
-                   for src, label, dst in transitions)
-
-
 def tp_invariant_violations(tp: TestPurpose) -> list[str]:
     """Structural checks behind the tester guarantees; empty list means sound.
 
@@ -443,37 +438,34 @@ def tp_from_text(text: str) -> TestPurpose:
     return tp
 
 
+# every manifest key, in the order written, with its JSON type
+_MANIFEST_TYPES = {"m": int, "n": int, "levels": int, "limit": int, "truncated": bool,
+                   "tp_count": int, "inputs": list, "outputs": list, "paths": list}
+
+
+def _tp_file(i: int) -> str:
+    """The file name of a suite's i-th tester."""
+    return f"tp-{i:04d}.iolts"
+
+
 def write_fault_model(model: FaultModel, directory: str) -> None:
     """Write tp-NNNN.iolts files plus a manifest.json describing the run, and
     remove the tp-NNNN.iolts files numbered past the new suite."""
     os.makedirs(directory, exist_ok=True)
     testers = _Testers(model.inputs, (t for t in model.outputs if t != DELTA))
     for i, path in enumerate(model.paths):
-        with open(os.path.join(directory, f"tp-{i:04d}.iolts"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(directory, _tp_file(i)), "w", encoding="utf-8") as fh:
             fh.write(testers.text(path))
-    manifest = {
-        "m": model.m,
-        "n": model.n,
-        "levels": model.levels,
-        "limit": model.limit,
-        "truncated": model.truncated,
-        "tp_count": len(model.paths),
-        "inputs": list(model.inputs),
-        "outputs": list(model.outputs),
-        "paths": [list(p) for p in model.paths],
-    }
+    manifest = dict(zip(_MANIFEST_TYPES, (  # JSON spells the tuples as lists
+        model.m, model.n, model.levels, model.limit, model.truncated, len(model.paths),
+        model.inputs, model.outputs, model.paths)))
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     for name in os.listdir(directory):  # testers of an earlier, longer suite
         i = name[3:-6]
-        if i.isdecimal() and name == f"tp-{int(i):04d}.iolts" and int(i) >= len(model.paths):
+        if i.isdecimal() and name == _tp_file(int(i)) and int(i) >= len(model.paths):
             os.remove(os.path.join(directory, name))
-
-
-# manifest keys read back, with their JSON types
-_MANIFEST_TYPES = {"m": int, "n": int, "limit": int, "truncated": bool,
-                   "tp_count": int, "inputs": list, "outputs": list, "paths": list}
 
 
 def read_fault_model(directory: str) -> FaultModel:
@@ -490,35 +482,31 @@ def read_fault_model(directory: str) -> FaultModel:
     for key, kind in _MANIFEST_TYPES.items():
         if type(manifest.get(key)) is not kind:  # also rejects bool for int
             raise FormatError(f"manifest.json needs key {key!r} of type {kind.__name__}")
-    lists = [manifest["inputs"], manifest["outputs"], *manifest["paths"]]
-    if not all(type(v) is list and all(type(t) is str for t in v) for v in lists):
+    m, n, levels, limit, truncated, tp_count, inputs, outputs, paths = (
+        manifest[key] for key in _MANIFEST_TYPES)
+    if not all(type(v) is list and all(type(t) is str for t in v)
+               for v in (inputs, outputs, *paths)):
         raise FormatError("manifest.json alphabets and paths must be lists of tokens")
-    if DELTA not in manifest["outputs"]:
+    if DELTA not in outputs:
         raise FormatError("manifest.json outputs lack 'delta'")
-    if manifest["tp_count"] != len(manifest["paths"]):
+    if tp_count != len(paths):
         raise FormatError("manifest.json tp_count differs from its number of paths")
-    paths = tuple(tuple(p) for p in manifest["paths"])
-    if min(manifest["m"], manifest["n"], manifest["limit"]) < 1:
+    if min(m, n, limit) < 1:
         raise FormatError("manifest.json needs m, n and limit of at least 1")
-    if len(paths) > manifest["limit"]:
+    if len(paths) > limit:
         raise FormatError("manifest.json holds more paths than its limit")
-    if manifest["truncated"] and len(paths) < manifest["limit"]:
+    if truncated and len(paths) < limit:
         raise FormatError("manifest.json is truncated with fewer paths than its limit")
-    testers = _Testers(manifest["inputs"], (t for t in manifest["outputs"] if t != DELTA))
+    model = FaultModel((), tuple(map(tuple, paths)), m, n, limit, truncated,
+                       tuple(inputs), tuple(outputs))
+    if levels != model.levels:
+        raise FormatError("manifest.json needs levels of m*n + 1")
+    testers = _Testers(inputs, (t for t in outputs if t != DELTA))
     tps = []
-    for i, path in enumerate(paths):
+    for i, path in enumerate(model.paths):
         tps.append(testers.tester(path))
-        name = f"tp-{i:04d}.iolts"
+        name = _tp_file(i)
         with open(os.path.join(directory, name), "rb") as fh:
             if fh.read() != testers.text(path).encode("utf-8"):
                 raise FormatError(f"{name} differs from the tester of its manifest path")
-    return FaultModel(
-        tuple(tps),
-        paths,
-        manifest["m"],
-        manifest["n"],
-        manifest["limit"],
-        manifest["truncated"],
-        tuple(manifest["inputs"]),
-        tuple(manifest["outputs"]),
-    )
+    return replace(model, tps=tuple(tps))

@@ -335,6 +335,42 @@ def test_gen_suite_on_output_free_spec_is_empty_and_exhaustive(tmp_path, capsys)
     assert manifest["tp_count"] == 0 and manifest["truncated"] is False
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda mf: mf.pop("levels"),
+    lambda mf: mf.update(levels="9"),
+    lambda mf: mf.update(levels=True),
+    lambda mf: mf.update(levels=mf["m"] * mf["n"]),
+    lambda mf: mf.update(levels=mf["m"] * mf["n"] + 2),
+], ids=["missing", "str", "bool", "one-under", "one-over"])
+def test_run_suite_checks_levels(files, tmp_path, capsys, corrupt):
+    """Every key ``write_fault_model`` writes is read back: levels must be the
+    int m*n + 1, so a missing, mistyped or other value exits 2 with one line."""
+    out = tmp_path / "suite"
+    main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(out)])
+    manifest_file = out / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    assert manifest["levels"] == manifest["m"] * manifest["n"] + 1
+    corrupt(manifest)
+    manifest_file.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["run-suite", "--iut", files["m1"], "--suite", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "manifest.json" in err[0]
+
+
+def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
+    """A MemoryError is an input too large for this host, not a defect: one
+    line and exit 2, no traceback."""
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_gen_model", exhausted)
+    rc = main(["gen-model", "--states", "1", "--inputs", "1", "--outputs", "1"])
+    assert rc == cli.EXIT_USAGE == 2
+    err = capsys.readouterr().err
+    assert err == "error: the input is too large for the available memory\n"
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom")

@@ -90,6 +90,33 @@ def test_completed_model_roundtrips(m1):
     assert parse_model(serialize_model(c)) == c
 
 
+def test_serialize_model_literal_text():
+    """The written format, spelled out: comments first, an empty section as its
+    bare header, a tau move as a line, and after quiescence completion delta
+    last among the outputs with its loops after the model's transitions."""
+    m = Iolts(("s0", "s1", "s2"), 0, (), ("x",), ((0, "tau", 1), (0, "x", 2)))
+    assert serialize_model(m, comments=("first", "second")) == (
+        "# first\n"
+        "# second\n"
+        "states: s0 s1 s2\n"
+        "initial: s0\n"
+        "inputs:\n"
+        "outputs: x\n"
+        "transitions:\n"
+        "s0 tau s1\n"
+        "s0 x s2\n")
+    assert serialize_model(ensure_quiescence(m)) == (
+        "states: s0 s1 s2\n"
+        "initial: s0\n"
+        "inputs:\n"
+        "outputs: x delta\n"
+        "transitions:\n"
+        "s0 tau s1\n"
+        "s0 x s2\n"
+        "s1 delta s1\n"
+        "s2 delta s2\n")
+
+
 def test_quiescence_m1(m1):
     """Only s0 is quiescent: s1 emits x."""
     c = complete_quiescence(m1)

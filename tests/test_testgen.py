@@ -8,6 +8,7 @@ import pytest
 
 from ioltstest import (
     DELTA,
+    FaultModel,
     FormatError,
     GenParams,
     Multigraph,
@@ -278,6 +279,45 @@ def test_fault_model_directory_roundtrip(tmp_path, m1):
     assert manifest["tp_count"] == len(model.tps)
     loaded = read_fault_model(str(target))
     assert loaded == model
+
+
+def test_written_tester_file_literal_bytes(tmp_path):
+    """The tester file of the 2-token path ``a x`` over inputs a b and outputs
+    x delta: the path comment, the sections, the chain, each chain state's pass
+    edges, then the pass/fail self-loops."""
+    path = ("a", "x")
+    model = FaultModel((path_to_test_purpose(path, ("a", "b"), ("x",)),), (path,),
+                       1, 1, 1, False, ("a", "b"), ("x", "delta"))
+    write_fault_model(model, str(tmp_path))
+    assert (tmp_path / "tp-0000.iolts").read_bytes() == (
+        b"# fault path: a x\n"
+        b"states: t0 t1 pass fail\n"
+        b"initial: t0\n"
+        b"inputs: x delta\n"
+        b"outputs: a b\n"
+        b"transitions:\n"
+        b"t0 a t1\n"
+        b"t1 x fail\n"
+        b"t0 x pass\n"
+        b"t0 delta pass\n"
+        b"t1 delta pass\n"
+        b"t1 a pass\n"
+        b"pass x pass\n"
+        b"pass delta pass\n"
+        b"fail x fail\n"
+        b"fail delta fail\n")
+    assert read_fault_model(str(tmp_path)) == model
+
+
+def test_read_fault_model_checks_levels(tmp_path, m1):
+    """A manifest's levels must be m*n + 1, 5 at m = n = 2."""
+    write_fault_model(generate_fault_model(m1, m=2, limit=10), str(tmp_path))
+    manifest_file = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    assert manifest["levels"] == 5
+    manifest_file.write_text(json.dumps(dict(manifest, levels=6)))
+    with pytest.raises(FormatError, match=r"^manifest.json needs levels of m\*n \+ 1$"):
+        read_fault_model(str(tmp_path))
 
 
 def test_rewrite_removes_stale_testers_only(tmp_path, four_state):
