@@ -16,7 +16,7 @@ import traceback
 
 from . import modelgen, testgen, testrun
 from .conformance import WITNESS_STRATEGIES, check_ioco, check_lang, verdict_json
-from .errors import IoltsTestError
+from .errors import FormatError, IoltsTestError
 from .fsa import Dfsa, compile_regex, empty_language
 from .iolts import (
     Iolts,
@@ -32,16 +32,19 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _load_model(path: str) -> Iolts:
+def _load(path: str, parse=parse_model, *args):
+    """Parse the text of ``path``; a parse or decoding error names the file."""
     with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        try:
+            return parse(fh.read(), *args)
+        except (FormatError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def _load_language(path: str | None, alphabet) -> Dfsa:
     if path is None:
         return empty_language(alphabet)
-    with open(path, encoding="utf-8") as fh:
-        return compile_regex(fh.read(), alphabet)
+    return _load(path, compile_regex, alphabet)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -68,8 +71,8 @@ def _print_verdict(v, relation: str) -> None:
 
 
 def _cmd_check_ioco(args) -> int:
-    spec = _load_model(args.spec)
-    iut = _load_model(args.iut)
+    spec = _load(args.spec)
+    iut = _load(args.iut)
     verdict = check_ioco(spec, iut, witness=args.witness)
     _print_verdict(verdict, "ioco")
     if args.json:
@@ -78,8 +81,8 @@ def _cmd_check_ioco(args) -> int:
 
 
 def _cmd_check_lang(args) -> int:
-    spec = _load_model(args.spec)
-    iut = _load_model(args.iut)
+    spec = _load(args.spec)
+    iut = _load(args.iut)
     alphabet = ensure_quiescence(spec).observable_alphabet
     d = _load_language(args.desirable, alphabet)
     f = _load_language(args.forbidden, alphabet)
@@ -95,7 +98,7 @@ def _cmd_check_lang(args) -> int:
 
 
 def _cmd_gen_suite(args) -> int:
-    spec = _load_model(args.spec)
+    spec = _load(args.spec)
     model = testgen.generate_fault_model(spec, args.m, args.limit)
     testgen.write_fault_model(model, args.output)
     print(f"levels: {model.levels}")
@@ -107,7 +110,7 @@ def _cmd_gen_suite(args) -> int:
 
 
 def _cmd_run_suite(args) -> int:
-    iut = _load_model(args.iut)
+    iut = _load(args.iut)
     model = testgen.read_fault_model(args.suite)
     report = testrun.run_fault_model(iut, model, fail_fast=args.fail_fast)
     print(f"overall: {report.overall}")
@@ -147,7 +150,7 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    model = _load_model(args.model)
+    model = _load(args.model)
     record = modelgen.mutate(model, args.rate, args.seed, grow=args.grow)
     comments = [f"generator: seed={args.seed}, rate={args.rate}, edits={len(record.edits)}"]
     for e in record.edits:
@@ -159,7 +162,7 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    model = _load_model(args.model)
+    model = _load(args.model)
     if args.mode == "quiescence":
         result = complete_quiescence(model)
     else:

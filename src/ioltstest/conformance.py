@@ -24,13 +24,9 @@ from .fsa import (
     _search_dfsa,
     empty_language,
 )
-from .iolts import DELTA, Iolts, determinize, ensure_quiescence
+from .iolts import DELTA, FAIL, Iolts, determinize, ensure_quiescence
 
 WITNESS_STRATEGIES = ("single", "cover")
-
-# Search key reached by a specification trace extended by an output the
-# specification does not enable.
-_FAULT = object()
 
 
 @dataclass(frozen=True)
@@ -92,10 +88,10 @@ def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
     if witness not in WITNESS_STRATEGIES:
         raise ValueError(f"unknown witness strategy {witness!r}")
     _require_same_alphabets(spec, iut)
-    ds = determinize(ensure_quiescence(spec))
+    cs = ensure_quiescence(spec)
+    ds = determinize(cs)
     di = determinize(ensure_quiescence(iut))
-    spec_outputs = set(spec.outputs)
-    outputs = {t for t in ds.alphabet if t == DELTA or t in spec_outputs}
+    outputs = set(cs.outputs)
     spec_step, iut_step = ds.transitions.get, di.transitions.get
 
     def moves(pair):
@@ -108,9 +104,9 @@ def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
             if s2 is not None:
                 yield tok, (s2, q2)
             elif tok in outputs:
-                yield tok, _FAULT
+                yield tok, FAIL  # the multigraph's fail node
 
-    first_fault = _first_word((ds.initial, di.initial), moves, lambda key: key is _FAULT)
+    first_fault = _first_word((ds.initial, di.initial), moves, lambda key: key is FAIL)
     stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet))
     if first_fault is None:
         return Verdict(True, (), stats)
@@ -128,20 +124,20 @@ def ioco_desirable_language(spec: Iolts) -> Dfsa:
     outputs = set(cs.outputs)
 
     # States are (det state, last-token-was-output); the one extra accepting
-    # state _FAULT catches spec traces extended by an output the spec does not
+    # state FAIL catches spec traces extended by an output the spec does not
     # enable.
     def moves(node):
-        if node is _FAULT:
+        if node is FAIL:
             return
         for tok in spec_det.alphabet:
             t = spec_det.step(node[0], tok)
             if t is not None:
                 yield tok, (t, tok in outputs)
             elif tok in outputs:
-                yield tok, _FAULT
+                yield tok, FAIL
 
     return _search_dfsa(spec_det.alphabet, (spec_det.initial, False), moves,
-                        lambda node: node is _FAULT or node[1])
+                        lambda node: node is FAIL or node[1])
 
 
 def build_fault_suite(spec: Iolts, d: Dfsa, f: Dfsa) -> Dfsa:

@@ -11,7 +11,8 @@ with its own tau-closure, so each cross-checks the other.
 
 The line format of models and testers has its one reader, ``_read_sections``,
 and its one writer, ``_serialize``, here; both take the section names from
-``_SECTIONS``.
+``_SECTIONS``.  The reader resolves each transition line to its state indices
+in the one pass that splits it.
 
 State order is declaration order and is semantically load-bearing: it defines
 the state indices used by the multigraph construction and every tie-breaking
@@ -171,24 +172,22 @@ def _read_sections(text: str) -> tuple:
     k = len(_SECTIONS)
     if len(lines) <= k or lines[k] != "transitions:":
         raise FormatError("missing section 'transitions'")
-    rows = []
+    states, initial, inputs, outputs = header
+    state_index = {name: i for i, name in enumerate(states)}
+    transitions: dict[tuple[int, str, int], None] = {}  # an ordered set
     for line in lines[k + 1 :]:
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"malformed transition line {line!r}")
-        rows.append(parts)
-    states, initial, inputs, outputs = header
+        src, label, dst = parts
+        try:
+            transitions[(state_index[src], label, state_index[dst])] = None
+        except KeyError as exc:
+            raise FormatError(f"unknown state {exc.args[0]!r} in transition") from None
     if len(initial) != 1:
         raise FormatError("initial section must name exactly one state")
-    state_index = {name: i for i, name in enumerate(states)}
     if initial[0] not in state_index:
         raise FormatError(f"initial state {initial[0]!r} not declared")
-    transitions: dict[tuple[int, str, int], None] = {}  # an ordered set
-    for src, label, dst in rows:
-        for name in (src, dst):
-            if name not in state_index:
-                raise FormatError(f"unknown state {name!r} in transition")
-        transitions[(state_index[src], label, state_index[dst])] = None
     return (tuple(states), state_index[initial[0]], tuple(inputs), tuple(outputs),
             tuple(transitions))
 

@@ -477,6 +477,8 @@ def read_fault_model(directory: str) -> FaultModel:
             manifest = json.load(fh)
         except RecursionError:
             raise FormatError("manifest.json is nested too deeply") from None
+        except ValueError:  # bad JSON or UTF-8, or an integer too long to convert
+            raise FormatError("manifest.json is not readable JSON") from None
     if not isinstance(manifest, dict):
         raise FormatError("manifest.json must hold a JSON object")
     for key, kind in _MANIFEST_TYPES.items():

@@ -303,6 +303,38 @@ def test_run_suite_rejects_deep_manifest(files, tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("case", ["cut-manifest", "long-m", "non-utf8-manifest",
+                                  "non-utf8-spec", "malformed-iut", "bad-literal"])
+def test_bad_input_file_is_named(files, tmp_path, capsys, case):
+    """A file that cannot be read or parsed gives exit 2 and one stderr line
+    that names it."""
+    suite = tmp_path / "suite"
+    main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(suite)])
+    manifest = suite / "manifest.json"
+    text = manifest.read_text()
+    assert '"m": 2,' in text
+    bad = tmp_path / "bad.txt"
+    run_suite = ["run-suite", "--iut", files["m1"], "--suite", str(suite)]
+    target, content, argv = {
+        "cut-manifest": (manifest, b'{"m": 1', run_suite),
+        "long-m": (manifest, text.replace('"m": 2,', f'"m": {"9" * 5001},').encode(),
+                   run_suite),
+        "non-utf8-manifest": (manifest, b'{"m": \xff}', run_suite),
+        "non-utf8-spec": (bad, M1_TEXT.encode() + b"\xff\n",
+                          ["check-ioco", "--spec", str(bad), "--iut", files["m1"]]),
+        "malformed-iut": (bad, M1_TEXT.replace("transitions:\n", "").encode(),
+                          ["check-ioco", "--spec", files["m1"], "--iut", str(bad)]),
+        "bad-literal": (bad, b"a q\n", ["check-lang", "--spec", files["m1"], "--iut",
+                                         files["m1"], "--forbidden", str(bad)]),
+    }[case]
+    target.write_bytes(content)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and target.name in err[0]
+    assert "set_int_max_str_digits" not in err[0]
+
+
 def test_gen_suite_rejects_input_free_spec(tmp_path, capsys):
     """Its testers would have no stimulus to emit."""
     spec = tmp_path / "spec.iolts"

@@ -11,6 +11,7 @@ from ioltstest import (
     SplitMix64,
     bounded_language,
     build_fault_suite,
+    build_multigraph,
     check_ioco,
     check_lang,
     compile_regex,
@@ -27,11 +28,13 @@ from ioltstest import (
     random_iolts,
     shortest_witness,
     submachine,
+    traces_bounded,
     union,
     verdict_json,
     witnesses_transition_cover,
 )
 from ioltstest.fsa import Dfsa
+from ioltstest.iolts import DELTA, FAIL
 from test_acceptance import _random_regex
 
 
@@ -322,6 +325,46 @@ def test_relations_agree_on_ioco_witnesses():
         assert check_lang(spec, iut, d, f).witnesses == direct.witnesses
         faults += not direct.conforms
     assert faults >= 100
+
+
+def test_ioco_desirable_language_is_its_definition():
+    """L(D) is otr(spec) extended by one output, delta included: up to length 5
+    it equals the traces enumerated without an automaton, each extended by
+    every output of the quiescence-completed spec."""
+    words = 0
+    for seed in range(80):
+        spec = random_iolts(GenParams(states=1 + seed % 5, inputs=["a", "b"],
+                                      outputs=["x", "y"], deterministic=seed % 2 == 0,
+                                      input_enabled=False, density=0.5,
+                                      seed=7000 + seed))
+        cs = ensure_quiescence(spec)
+        expected = {sigma + (o,) for sigma in traces_bounded(cs, 4) for o in cs.outputs}
+        assert bounded_language(ioco_desirable_language(spec), 5) == expected
+        words += len(expected)
+    assert words > 10_000
+
+
+def test_ioco_fault_is_the_multigraph_fail_node():
+    """The fault rule's three spellings agree: a single ioco witness replays in
+    the multigraph, with enough levels for its length, to the fail node at its
+    last token only, and D accepts it."""
+    faults = deltas = 0
+    for seed in range(120):
+        spec = random_iolts(GenParams(states=2 + seed % 5, inputs=["a", "b"],
+                                      outputs=["x", "y"], deterministic=True,
+                                      input_enabled=False, density=0.5,
+                                      seed=seed))
+        v = check_ioco(spec, mutate(spec, 0.3, seed).model)
+        if v.conforms:
+            continue
+        (w,) = v.witnesses
+        cs = ensure_quiescence(spec)
+        path = build_multigraph(cs, -(-len(w) // len(cs.states))).replay(w)
+        assert path[-1] == FAIL and FAIL not in path[:-1]
+        assert ioco_desirable_language(spec).accepts(w)
+        faults += 1
+        deltas += w[-1] == DELTA
+    assert faults >= 100 and deltas >= 20
 
 
 def _suite_cases():
