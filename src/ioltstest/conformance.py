@@ -6,7 +6,8 @@ and reports the first output (or quiescence) the implementation offers that
 the specification does not.  ``check_lang`` builds a fault-suite automaton
 from desirable/forbidden languages (D, F) and searches the implicit product of
 the determinized implementation and that suite; a transition cover explores
-that product whole, still without building it.  With D = otr(spec) extended
+that product whole, still without building it, by its own walk on int pair
+keys that keeps every move in one flat edge list.  With D = otr(spec) extended
 by one output and F empty it coincides with ioco, which the test suite
 exploits as a cross-oracle and ``check_ioco`` uses for its transition cover.
 """
@@ -18,9 +19,9 @@ from dataclasses import asdict, dataclass
 from .errors import AlphabetMismatchError
 from .fsa import (
     Dfsa,
-    _explore,
     _first_word,
     _product_moves,
+    _require_shared_alphabet,
     _search_dfsa,
     empty_language,
 )
@@ -203,53 +204,74 @@ def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:
     it lies on some path from the initial to an accepting state.  Each one
     contributes its least shortest fault word, the least shortest word to its
     source, then its token, then the least shortest word from its target to
-    acceptance ("least" in alphabet declaration order).  Each distinct word
-    comes out once, shortest first, ties broken by alphabet order, the empty
+    acceptance ("least" in ``iut.alphabet`` order).  Each distinct word comes
+    out once, shortest first, ties broken in ``iut.alphabet`` order, the empty
     word first when the initial state accepts; the list is empty iff the
-    product language is.
+    product language is.  The product is walked by the search core's rule
+    (``fsa._explore``: breadth-first, moves in alphabet order), on int keys.
     """
-    # the product, explored but not built: key i is keys[i], state 0 initial,
-    # and trans lists each key's moves in search order
-    keys, trans = _explore((iut.initial, suite.initial), _product_moves(iut, suite))
-    n = len(keys)
-    accepting = [qa in iut.accepting and qb in suite.accepting for qa, qb in keys]
+    _require_shared_alphabet(iut, suite)
+    alphabet, nb, k = iut.alphabet, suite.n_states, len(iut.alphabet)
+    # Key qa * nb + qb is the pair (qa, qb); product state i is keys[i], 0 the
+    # initial one.  IUT rows hold (rank, target * nb); the suite is one flat
+    # list indexed qb * k + rank, -1 for no move.  Words spell ranks as code
+    # points, to concatenate and compare as strings, and tokens on return.
+    ranks = [chr(r) for r in range(k)]
+    a_step, b_step = iut.transitions.get, suite.transitions.get
+    rows = [[(r, t * nb) for r, tok in enumerate(alphabet)
+             if (t := a_step((qa, tok))) is not None] for qa in range(iut.n_states)]
+    b_rows = [b_step((qb, tok), -1) for qb in range(nb) for tok in alphabet]
+    # prefix[i] follows first-discovery edges: shortest, and least in alphabet
+    # order.  edges holds src, rank, dst of every move, in search order.
+    keys, prefix, edges = [iut.initial * nb + suite.initial], [""], []
+    index = {keys[0]: 0}
+    for i, key in enumerate(keys):  # keys grows while we walk it
+        qa, qb = divmod(key, nb)
+        row = qb * k
+        for r, ta in rows[qa]:
+            tb = b_rows[row + r]
+            if tb < 0:
+                continue
+            nxt = ta + tb
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(keys)
+                keys.append(nxt)
+                prefix.append(prefix[i] + ranks[r])
+            edges += (i, r, j)
+    src, rank, dst = edges[0::3], edges[1::3], edges[2::3]
     # distance to acceptance, breadth-first backwards from the accepting states
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for (src, _), dst in trans.items():
-        preds[dst].append(src)
-    order = [s for s in range(n) if accepting[s]]
+    dist = [0 if key // nb in iut.accepting and key % nb in suite.accepting else -1
+            for key in keys]
+    order = [s for s, d in enumerate(dist) if not d]
     if not order:
         return []
-    dist = [0 if acc else -1 for acc in accepting]
+    preds: list[list[int]] = [[] for _ in keys]
+    for s, d in zip(src, dst):
+        preds[d].append(s)
     for s in order:  # order grows while we walk it
         for p in preds[s]:
             if dist[p] < 0:
                 dist[p] = dist[s] + 1
                 order.append(p)
-    # word(src, tok) = prefix[src] + tok + suffix[dst].  The prefix follows
-    # first-discovery edges: shortest, and least in alphabet order.  The suffix
-    # follows each state's first move in alphabet order that gets one step
-    # closer (down).  Both come from one pass over trans, which is in search
-    # order.  Words spell alphabet ranks as code points, so they concatenate and
-    # compare as strings; they are spelled as tokens on return.
-    alphabet = iut.alphabet
-    rank = {tok: chr(i) for i, tok in enumerate(alphabet)}
-    down = [-1] * n
-    prefix, suffix = [None] * n, [""] * n
-    prefix[0] = ""
-    for (src, tok), dst in trans.items():
-        if prefix[dst] is None:
-            prefix[dst] = prefix[src] + rank[tok]
-        if down[src] < 0 and dist[src] > 0 and dist[dst] == dist[src] - 1:
-            down[src] = dst
-            suffix[src] = rank[tok]  # the rest follows by increasing distance
+    # word(src, rank) = prefix[src] + rank + suffix[dst].  The suffix follows
+    # each state's first move in alphabet order that gets one step closer
+    # (down), found in one pass over the edges in search order.
+    down, suffix = [-1] * len(keys), [""] * len(keys)
+    for s, r, d in zip(src, rank, dst):
+        if down[s] < 0 and dist[s] > 0 and dist[d] == dist[s] - 1:
+            down[s] = d
+            suffix[s] = ranks[r]  # the rest follows by increasing distance
     for s in order:
         if dist[s]:
             suffix[s] += suffix[down[s]]
-    words = {prefix[src] + rank[tok] + suffix[dst]
-             for (src, tok), dst in trans.items() if dist[dst] >= 0}
+    words = list({prefix[s] + ranks[r] + suffix[d]
+                  for s, r, d in zip(src, rank, dst) if dist[d] >= 0})
     # shortest first, ties by rank: two stable sorts; an accepting initial
     # state makes the empty word the shortest fault
-    words = ([""] if accepting[0] else []) + sorted(sorted(words), key=len)
-    spell = dict(zip(rank.values(), alphabet)).__getitem__
+    words.sort()
+    words.sort(key=len)
+    if dist[0] == 0:
+        words.insert(0, "")
+    spell = dict(zip(ranks, alphabet)).__getitem__
     return [tuple(map(spell, w)) for w in words]

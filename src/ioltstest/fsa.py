@@ -229,14 +229,17 @@ def complement(a: Dfsa) -> Dfsa:
                        frozenset(range(c.n_states)) - c.accepting, c.transitions, True)
 
 
+def _require_shared_alphabet(a: Dfsa, b: Dfsa) -> None:
+    """Refuse a product of automata over different token sets."""
+    if set(a.alphabet) != set(b.alphabet):
+        diff = sorted(set(a.alphabet) ^ set(b.alphabet))
+        raise AlphabetMismatchError(f"automata alphabets differ: {diff} not shared")
+
+
 def _product_moves(a: Dfsa, b: Dfsa):
     """Successors of a pair key in the a x b product, in a's alphabet order.
     Each state of a lists its moves once; b is probed only on those tokens."""
-    if set(a.alphabet) != set(b.alphabet):
-        raise AlphabetMismatchError(
-            "automata alphabets differ: "
-            f"{sorted(set(a.alphabet) ^ set(b.alphabet))} not shared"
-        )
+    _require_shared_alphabet(a, b)
     rows = [a.moves(s) for s in range(a.n_states)]
     b_step = b.transitions.get
 

@@ -570,6 +570,48 @@ def test_cover_is_its_definition():
     assert faults >= 48
 
 
+def _random_dfsa(rng, tokens, alphabet):
+    """A 1-7-state automaton over ``alphabet`` with a partial transition map
+    on ``tokens``, a partial accepting set and a random initial state."""
+    n = 1 + rng.below(7)
+    transitions = {(s, tok): rng.below(n) for s in range(n) for tok in tokens
+                   if rng.chance(0.6)}
+    accepting = frozenset(s for s in range(n) if rng.chance(0.4))
+    return Dfsa(alphabet, n, rng.below(n), accepting, transitions)
+
+
+def test_cover_is_its_definition_on_random_automata():
+    """On random partial automata, with partial accepting sets, random initial
+    states and an IUT alphabet declared in a permuted order, the cover is its
+    definition: state numbering, acceptance on both sides and tie-breaking in
+    the IUT's order are all exercised, which determinized models never do."""
+    non_empty = 0
+    for seed in range(600):
+        rng = SplitMix64(0xD7A + seed)
+        tokens = ("a", "b", "x", "y")[:1 + rng.below(4)]
+        shuffled = list(tokens)
+        for i in range(len(shuffled) - 1, 0, -1):
+            j = rng.below(i + 1)
+            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        iut = _random_dfsa(rng, tokens, tuple(shuffled))
+        suite = _random_dfsa(rng, tokens, tokens)
+        words = witnesses_transition_cover(iut, suite)
+        assert words == _defined_cover(iut, suite), seed
+        non_empty += bool(words)
+    assert non_empty >= 150
+
+
+def test_cover_alphabet_mismatch_message_is_intersects():
+    """The cover refuses operands over different token sets with the message
+    intersect gives for the same operands."""
+    for a, b in [(("a", "x"), ("a", "y")), (("a", "x"), ("a",)), (("b",), ("a", "c", "d"))]:
+        with pytest.raises(AlphabetMismatchError) as product_error:
+            intersect(empty_language(a), empty_language(b))
+        with pytest.raises(AlphabetMismatchError, match="^automata alphabets differ: ") as e:
+            witnesses_transition_cover(empty_language(a), empty_language(b))
+        assert str(e.value) == str(product_error.value)
+
+
 def test_cover_alphabet_mismatch():
     """Operands over different token sets are refused, as intersect refuses them."""
     a = empty_language(["a", "x"])
