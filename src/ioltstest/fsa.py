@@ -23,10 +23,11 @@ shared by compiled regexes and ``iolts.determinize`` (``tau`` is silent).  It
 tabulates each state's closed moves once per call: per token, the bitmask of
 the silent closure of the state's targets.  A subset is an int bitmask; it
 steps by OR-ing its members' masks, and its acceptance is read off the mask.
-Automata built here skip the constructor's checks (``Dfsa._built``).  The
-regex parser reads the tokens in one loop over a stack of open groups (at most
-100) and emits Thompson's construction straight into such rows, with no syntax
-tree in between.  Nothing here recurses.
+Automata built here skip the constructor's checks (``Dfsa._built``, the one
+unchecked builder of the package's records, ``_Record``).  The regex parser
+reads the tokens in one loop over a stack of open groups (at most 100) and
+emits Thompson's construction straight into such rows, with no syntax tree in
+between.  Nothing here recurses.
 """
 
 from __future__ import annotations
@@ -42,8 +43,20 @@ _FINITE_DIRECTIVE = "#finite"
 _MAX_NESTING = 100  # most parentheses open at once in a regex
 
 
+class _Record:
+    """Base of the package's frozen records: ``_built(*values)`` makes one from
+    its field values in declaration order without ``__post_init__``'s checks,
+    for a record derived from checked ones, well formed by construction."""
+
+    @classmethod
+    def _built(cls, *values):
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls.__dataclass_fields__, values))
+        return record
+
+
 @dataclass(frozen=True, eq=False)
-class Dfsa:
+class Dfsa(_Record):
     """A deterministic finite automaton with a possibly partial transition map.
 
     ``transitions`` maps ``(state, token)`` to the successor state; a missing
@@ -79,15 +92,6 @@ class Dfsa:
         # means every pair is defined
         if self.complete and len(self.transitions) != self.n_states * len(self.alphabet):
             raise FormatError("automaton flagged complete is partial")
-
-    @classmethod
-    def _built(cls, alphabet, n_states, initial, accepting, transitions, complete) -> Dfsa:
-        """The automaton with these fields, without ``__post_init__``'s checks:
-        for automata the package builds, well formed by construction."""
-        a = object.__new__(cls)
-        a.__dict__.update(alphabet=alphabet, n_states=n_states, initial=initial,
-                          accepting=accepting, transitions=transitions, complete=complete)
-        return a
 
     def step(self, state: int, token: str) -> int | None:
         return self.transitions.get((state, token))

@@ -12,7 +12,9 @@ with its own tau-closure, so each cross-checks the other.
 The line format of models and testers has its one reader, ``_read_sections``,
 and its one writer, ``_serialize``, here; both take the section names from
 ``_SECTIONS``.  The reader resolves each transition line to its state indices
-in the one pass that splits it.
+in the one pass that splits it.  A model is checked when it is parsed or
+constructed; the models the package derives from it, such as its quiescence
+completion, are not checked again (``Iolts._built``).
 
 State order is declaration order and is semantically load-bearing: it defines
 the state indices used by the multigraph construction and every tie-breaking
@@ -22,11 +24,11 @@ rule downstream, so all transformations preserve it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import FormatError
-from .fsa import Dfsa, _subset_dfsa
+from .fsa import Dfsa, _Record, _subset_dfsa
 
 TAU = "tau"
 DELTA = "delta"
@@ -47,14 +49,15 @@ def _check_name(name: str, kind: str) -> None:
 
 
 @dataclass(frozen=True)
-class Iolts:
+class Iolts(_Record):
     """An input/output labeled transition system.
 
     ``outputs`` contains ``delta`` once the model has been quiescence-completed;
     plain user models never mention ``delta``, and ``tau`` appears only as a
     transition label.  Instances are immutable and safe to share; each caches its
     adjacency rows, ``ensure_quiescence`` and ``determinize`` on first use, and
-    the caches take no part in equality or hashing.
+    the caches take no part in equality or hashing.  The constructor checks
+    names, ranges and labels; derived models are not checked again.
     """
 
     states: tuple[str, ...]
@@ -234,8 +237,8 @@ def complete_quiescence(m: Iolts) -> Iolts:
     """
     if m.has_delta:
         raise FormatError("model already contains delta")
-    added = tuple((i, DELTA, i) for i in m._quiescent)
-    return replace(m, outputs=m.outputs + (DELTA,), transitions=m.transitions + added)
+    return Iolts._built(m.states, m.initial, m.inputs, m.outputs + (DELTA,),
+                        m.transitions + tuple((i, DELTA, i) for i in m._quiescent))
 
 
 def ensure_quiescence(m: Iolts) -> Iolts:

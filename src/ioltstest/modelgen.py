@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import FormatError
@@ -162,7 +162,8 @@ def submachine(spec: Iolts, keep_fraction: float, seed: int,
             t for t in spec.transitions
             if t[1] not in output_set or rng.chance(keep_fraction)
         )
-        candidate = _prune_unreachable(replace(spec, transitions=kept))
+        candidate = _prune_unreachable(
+            Iolts._built(spec.states, spec.initial, spec.inputs, spec.outputs, kept))
         if check_ioco(spec, candidate).conforms:
             if attempt:
                 log.debug("submachine accepted after %d retries", attempt)
@@ -176,14 +177,9 @@ def _prune_unreachable(m: Iolts) -> Iolts:
     if len(keep) == len(m.states):
         return m
     remap = {old: new for new, old in enumerate(keep)}
-    return Iolts(
-        tuple(m.states[i] for i in keep),
-        remap[m.initial],
-        m.inputs,
-        m.outputs,
-        tuple((remap[s], lab, remap[t]) for s, lab, t in m.transitions
-              if s in remap and t in remap),
-    )
+    return Iolts._built(tuple(m.states[i] for i in keep), remap[m.initial], m.inputs, m.outputs,
+                        tuple((remap[s], lab, remap[t]) for s, lab, t in m.transitions
+                              if s in remap and t in remap))
 
 
 @dataclass(frozen=True)
@@ -313,4 +309,4 @@ def angelic_input_enable(m: Iolts) -> Iolts:
     )
     if not added:
         return m
-    return replace(m, transitions=m.transitions + added)
+    return Iolts._built(m.states, m.initial, m.inputs, m.outputs, m.transitions + added)

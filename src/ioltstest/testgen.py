@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import FormatError
-from .fsa import Dfsa, _explore
+from .fsa import Dfsa, _explore, _Record
 from .iolts import (
     DELTA,
     FAIL,
@@ -161,7 +161,7 @@ def enumerate_fault_paths(g: Multigraph, limit: int) -> list[tuple[str, ...]]:
 
 
 @dataclass(frozen=True)
-class TestPurpose:
+class TestPurpose(_Record):
     """A tester automaton: listens on the model's outputs plus delta, emits
     the model's inputs, and verdicts at the pass/fail terminals.
 
@@ -205,9 +205,10 @@ class TestPurpose:
     def _automaton(self) -> Dfsa:
         """The step table as a DFA accepting at fail, over the emitted then the
         observed tokens: the model's order of inputs, outputs, delta."""
-        return Dfsa(self.outputs + self.inputs, len(self.states), self.initial,
-                    frozenset({self.fail_index}),
-                    {(s, label): d for s, label, d in self.transitions})
+        # the constructor has checked what Dfsa(...) would check here
+        return Dfsa._built(self.outputs + self.inputs, len(self.states), self.initial,
+                           frozenset({self.fail_index}),
+                           {(s, label): d for s, label, d in self.transitions}, False)
 
     def step(self, state: int, token: str) -> int | None:
         return self._automaton.step(state, token)
@@ -234,9 +235,9 @@ def path_to_test_purpose(path, inputs, outputs) -> TestPurpose:
 class _Testers:
     """The testers of one pair of model alphabets, built from pieces they all
     share: on an n-token path, state i on token ``tok`` always gets the same
-    chain edge, pass edges and text lines, cached per (n, i, tok).  The first
-    tester runs the ``TestPurpose`` constructor, which checks the alphabets;
-    later ones skip it, as its other checks hold by construction."""
+    chain edge, pass edges and text lines, cached per (n, i, tok).  Each tester
+    is built unchecked; the first runs the constructor's checks, which check
+    the alphabets, and the others hold by construction."""
 
     def __init__(self, inputs, outputs):
         outputs = tuple(outputs)
@@ -266,14 +267,11 @@ class _Testers:
         if path[-1] not in self.observed:
             raise FormatError("fault path must end with an output or delta")
         states, loops = self._frame(n)
-        fields = dict(states=states, initial=0, inputs=self.observed, outputs=self.emitted,
-                      transitions=(*chain, *passes, *loops), pass_index=n, fail_index=n + 1)
+        tp = TestPurpose._built(states, 0, self.observed, self.emitted,
+                                (*chain, *passes, *loops), n, n + 1)
         if not self._checked:
-            tp = TestPurpose(**fields)
+            tp.__post_init__()
             self._checked = True
-            return tp
-        tp = object.__new__(TestPurpose)  # skips the checks, as Dfsa._built does
-        tp.__dict__.update(fields)
         return tp
 
     def text(self, path) -> str:
@@ -499,16 +497,15 @@ def read_fault_model(directory: str) -> FaultModel:
         raise FormatError("manifest.json holds more paths than its limit")
     if truncated and len(paths) < limit:
         raise FormatError("manifest.json is truncated with fewer paths than its limit")
-    model = FaultModel((), tuple(map(tuple, paths)), m, n, limit, truncated,
-                       tuple(inputs), tuple(outputs))
-    if levels != model.levels:
+    if levels != m * n + 1:
         raise FormatError("manifest.json needs levels of m*n + 1")
+    paths = tuple(map(tuple, paths))
     testers = _Testers(inputs, (t for t in outputs if t != DELTA))
     tps = []
-    for i, path in enumerate(model.paths):
+    for i, path in enumerate(paths):
         tps.append(testers.tester(path))
         name = _tp_file(i)
         with open(os.path.join(directory, name), "rb") as fh:
             if fh.read() != testers.text(path).encode("utf-8"):
                 raise FormatError(f"{name} differs from the tester of its manifest path")
-    return replace(model, tps=tuple(tps))
+    return FaultModel(tuple(tps), paths, m, n, limit, truncated, tuple(inputs), tuple(outputs))

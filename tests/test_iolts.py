@@ -10,6 +10,7 @@ from ioltstest import (
     GenParams,
     Iolts,
     bounded_language,
+    check_ioco,
     complete_quiescence,
     determinize,
     ensure_quiescence,
@@ -18,7 +19,7 @@ from ioltstest import (
     serialize_model,
     traces_bounded,
 )
-from conftest import M1_TEXT
+from conftest import M1_TEXT, M3_TEXT
 
 
 def test_parse_m1(m1):
@@ -264,3 +265,19 @@ def test_traces_bounded_rejects_bad_arguments(m1):
         traces_bounded(complete_quiescence(m1), -1)
     with pytest.raises(FormatError, match="^traces_bounded requires a quiescence-completed"):
         traces_bounded(m1, 2)
+
+
+def test_a_parsed_model_is_checked_once(monkeypatch):
+    """The constructor's checks run when a model is parsed; its quiescence
+    completion, which every verdict builds, is not checked again."""
+    checks, post_init = [0], Iolts.__post_init__
+
+    def counted(self):
+        checks[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Iolts, "__post_init__", counted)
+    ensure_quiescence(parse_model(M1_TEXT))
+    assert checks == [1]
+    check_ioco(parse_model(M1_TEXT), parse_model(M3_TEXT))
+    assert checks == [3]

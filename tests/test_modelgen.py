@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -15,14 +16,19 @@ from ioltstest import (
     SplitMix64,
     angelic_input_enable,
     check_ioco,
+    complete_quiescence,
     ensure_quiescence,
+    generate_fault_model,
     mutate,
     parse_model,
     random_iolts,
+    read_fault_model,
     serialize_model,
     submachine,
     traces_bounded,
+    write_fault_model,
 )
+from ioltstest.modelgen import _prune_unreachable
 
 
 def test_splitmix_stream_is_stable():
@@ -364,3 +370,34 @@ def test_grown_state_avoids_taken_names():
                     "transitions:\ns0 a g0\ng0 x s0\n")
     grown = mutate(m, 0.5, seed=3, grow=1).model
     assert grown.states == ("s0", "g0", "g0_")
+
+
+def test_derived_records_pass_the_public_constructor(tmp_path):
+    """Every model the package derives without the constructor's checks equals
+    the model the constructor builds from the same fields, and every tester's
+    step table passes the automaton constructor."""
+    pruned = testers = 0
+    for seed in range(100):
+        n = 1 + seed % 12
+        m = random_iolts(GenParams(n, ["a", "b"], ["x", "y"], deterministic=seed % 4 == 0,
+                                   input_enabled=seed % 3 == 0, density=0.5, seed=seed))
+        if seed % 4 == 3 and n > 2:  # cut every way into one state
+            cut = 1 + seed % (n - 1)
+            m = Iolts(m.states, m.initial, m.inputs, m.outputs,
+                      tuple(t for t in m.transitions if t[2] != cut))
+        assert ensure_quiescence(m).is_quiescence_completed, seed
+        for derive in (ensure_quiescence, complete_quiescence, angelic_input_enable,
+                       _prune_unreachable, lambda spec: submachine(spec, 0.7, seed)):
+            d = derive(m)
+            # replace runs the checking constructor, which raises FormatError
+            # on a malformed record
+            assert d == replace(d), seed
+        pruned += len(_prune_unreachable(m).states) < n
+        if m.is_deterministic:
+            model = generate_fault_model(m, 2, limit=20)
+            write_fault_model(model, str(tmp_path / str(seed)))
+            for tp in model.tps + read_fault_model(str(tmp_path / str(seed))).tps:
+                assert tp == replace(tp), seed
+                replace(tp._automaton)
+                testers += 1
+    assert pruned >= 20 and testers >= 500
