@@ -17,7 +17,7 @@ import traceback
 from . import modelgen, testgen, testrun
 from .conformance import WITNESS_STRATEGIES, check_ioco, check_lang, verdict_json
 from .errors import FormatError, IoltsTestError
-from .fsa import Dfsa, compile_regex, empty_language
+from .fsa import compile_regex, empty_language
 from .iolts import (
     Iolts,
     complete_quiescence,
@@ -32,24 +32,25 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _load(path: str, parse=parse_model, *args):
-    """Parse the text of ``path``; a parse or decoding error names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse(fh.read(), *args)
-        except (FormatError, UnicodeDecodeError) as exc:
-            raise FormatError(f"{path}: {exc}") from None
+def _load(path: str, *steps):
+    """The text of ``path`` put through ``steps`` in turn, its parser and then
+    its use; a decoding or format error on the way names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = fh.read()
+        for step in steps:
+            value = step(value)
+        return value
+    except (FormatError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
-def _load_language(path: str | None, alphabet) -> Dfsa:
-    if path is None:
-        return empty_language(alphabet)
-    return _load(path, compile_regex, alphabet)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload) + "\n")
+def _conclude(json_path: str | None, passed: bool, payload, *args) -> int:
+    """Exit step of a verdict command: ``--json`` gets ``payload(*args)``; 0 if passed, else 1."""
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload(*args)) + "\n")
+    return EXIT_OK if passed else EXIT_FAULT
 
 
 def _emit_model(m: Iolts, path: str | None, comments: tuple[str, ...]) -> None:
@@ -71,35 +72,30 @@ def _print_verdict(v, relation: str) -> None:
 
 
 def _cmd_check_ioco(args) -> int:
-    spec = _load(args.spec)
-    iut = _load(args.iut)
+    spec, iut = (_load(path, parse_model, ensure_quiescence) for path in (args.spec, args.iut))
     verdict = check_ioco(spec, iut, witness=args.witness)
     _print_verdict(verdict, "ioco")
-    if args.json:
-        _write_json(args.json, verdict_json(verdict, "ioco"))
-    return EXIT_OK if verdict.conforms else EXIT_FAULT
+    return _conclude(args.json, verdict.conforms, verdict_json, verdict, "ioco")
 
 
 def _cmd_check_lang(args) -> int:
-    spec = _load(args.spec)
-    iut = _load(args.iut)
-    alphabet = ensure_quiescence(spec).observable_alphabet
-    d = _load_language(args.desirable, alphabet)
-    f = _load_language(args.forbidden, alphabet)
+    spec, iut = (_load(path, parse_model, ensure_quiescence) for path in (args.spec, args.iut))
+    alphabet = spec.observable_alphabet
+    d, f = (empty_language(alphabet) if path is None
+            else _load(path, lambda text: compile_regex(text, alphabet))
+            for path in (args.desirable, args.forbidden))
     verdict = check_lang(spec, iut, d, f, witness=args.witness)
     _print_verdict(verdict, "lang")
     s = verdict.stats
     bound = (s.spec_states + 1) ** 2 * s.d_states * s.f_states
     print(f"suite states: {s.suite_states} (bound {bound}: "
           f"{'ok' if s.suite_states <= bound else 'EXCEEDED'})")
-    if args.json:
-        _write_json(args.json, verdict_json(verdict, "lang"))
-    return EXIT_OK if verdict.conforms else EXIT_FAULT
+    return _conclude(args.json, verdict.conforms, verdict_json, verdict, "lang")
 
 
 def _cmd_gen_suite(args) -> int:
-    spec = _load(args.spec)
-    model = testgen.generate_fault_model(spec, args.m, args.limit)
+    model = _load(args.spec, parse_model,
+                  lambda spec: testgen.generate_fault_model(spec, args.m, args.limit))
     testgen.write_fault_model(model, args.output)
     print(f"levels: {model.levels}")
     print(f"test purposes: {len(model.paths)}")
@@ -110,7 +106,7 @@ def _cmd_gen_suite(args) -> int:
 
 
 def _cmd_run_suite(args) -> int:
-    iut = _load(args.iut)
+    iut = _load(args.iut, parse_model, ensure_quiescence)
     model = testgen.read_fault_model(args.suite)
     report = testrun.run_fault_model(iut, model, fail_fast=args.fail_fast)
     print(f"overall: {report.overall}")
@@ -120,9 +116,7 @@ def _cmd_run_suite(args) -> int:
     incomplete = sum(1 for r in report.results if r.incomplete)
     if incomplete:
         print(f"note: {incomplete} run(s) incomplete (tau livelock in the implementation)")
-    if args.json:
-        _write_json(args.json, testrun.report_json(report))
-    return EXIT_OK if report.overall == "pass" else EXIT_FAULT
+    return _conclude(args.json, report.overall == "pass", testrun.report_json, report)
 
 
 def _alphabet_arg(value: str):
@@ -150,8 +144,8 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
-    model = _load(args.model)
-    record = modelgen.mutate(model, args.rate, args.seed, grow=args.grow)
+    record = _load(args.model, parse_model,
+                   lambda m: modelgen.mutate(m, args.rate, args.seed, grow=args.grow))
     comments = [f"generator: seed={args.seed}, rate={args.rate}, edits={len(record.edits)}"]
     for e in record.edits:
         before = " ".join(map(str, e.before)) if e.before else "-"
@@ -162,11 +156,9 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    model = _load(args.model)
-    if args.mode == "quiescence":
-        result = complete_quiescence(model)
-    else:
-        result = modelgen.angelic_input_enable(model)
+    completion = (complete_quiescence if args.mode == "quiescence"
+                  else modelgen.angelic_input_enable)
+    result = _load(args.model, parse_model, completion)
     _emit_model(result, args.output, (f"completed: mode={args.mode}",))
     return EXIT_OK
 

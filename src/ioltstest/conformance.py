@@ -10,6 +10,7 @@ that product whole, still without building it, by its own walk on int pair
 keys that keeps every move in one flat edge list.  With D = otr(spec) extended
 by one output and F empty it coincides with ioco, which the test suite
 exploits as a cross-oracle and ``check_ioco`` uses for its transition cover.
+Both routes open with one entry step, ``_open``, that checks their inputs once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .fsa import (
     _search_dfsa,
     empty_language,
 )
-from .iolts import DELTA, FAIL, Iolts, determinize, ensure_quiescence
+from .iolts import FAIL, Iolts, determinize, ensure_quiescence
 
 WITNESS_STRATEGIES = ("single", "cover")
 
@@ -64,12 +65,15 @@ def verdict_json(v: Verdict, relation: str) -> dict:
     }
 
 
-def _require_same_alphabets(spec: Iolts, iut: Iolts) -> None:
-    def user_outputs(m: Iolts) -> set[str]:
-        return {t for t in m.outputs if t != DELTA}
-
-    if set(spec.inputs) != set(iut.inputs) or user_outputs(spec) != user_outputs(iut):
+def _open(spec: Iolts, iut: Iolts, witness: str) -> tuple[Iolts, Dfsa, Dfsa]:
+    """The entry step of a verdict: check the witness strategy and the pair's
+    alphabets (delta aside); return the spec's completion and both det models."""
+    if witness not in WITNESS_STRATEGIES:
+        raise ValueError(f"unknown witness strategy {witness!r}")
+    cs, ci = ensure_quiescence(spec), ensure_quiescence(iut)  # both gain delta
+    if set(cs.inputs) != set(ci.inputs) or set(cs.outputs) != set(ci.outputs):
         raise AlphabetMismatchError("specification and implementation alphabets differ")
+    return cs, determinize(cs), determinize(ci)
 
 
 def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
@@ -86,12 +90,7 @@ def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
     fault is found, ``check_lang`` with D = ``ioco_desirable_language(spec)``
     and F empty, whose transition cover gives several words per fault region.
     """
-    if witness not in WITNESS_STRATEGIES:
-        raise ValueError(f"unknown witness strategy {witness!r}")
-    _require_same_alphabets(spec, iut)
-    cs = ensure_quiescence(spec)
-    ds = determinize(cs)
-    di = determinize(ensure_quiescence(iut))
+    cs, ds, di = _open(spec, iut, witness)
     outputs = set(cs.outputs)
     spec_step, iut_step = ds.transitions.get, di.transitions.get
 
@@ -152,10 +151,8 @@ def build_fault_suite(spec: Iolts, d: Dfsa, f: Dfsa) -> Dfsa:
     """
     spec_det = determinize(ensure_quiescence(spec))
     if set(d.alphabet) != set(spec_det.alphabet) or set(f.alphabet) != set(spec_det.alphabet):
-        raise AlphabetMismatchError(
-            "desirable/forbidden languages must range over the specification's "
-            "observable alphabet (delta included)"
-        )
+        raise AlphabetMismatchError("desirable/forbidden languages must range over the "
+                                    "specification's observable alphabet (delta included)")
     # Keys (spec, D, F state) in F's alphabet order, as union(intersect(F, spec),
     # intersect(D, complement(spec))) has them once completed.  None is the sink
     # of a missing move: no (None, token) pair is a transition, so it stays put.
@@ -176,12 +173,9 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
                witness: str = "single") -> Verdict:
     """Language-based conformance: no implementation trace may be desirable-
     but-unspecified or forbidden-but-specified."""
-    if witness not in WITNESS_STRATEGIES:
-        raise ValueError(f"unknown witness strategy {witness!r}")
-    _require_same_alphabets(spec, iut)
-    ds, suite = determinize(ensure_quiescence(spec)), build_fault_suite(spec, d, f)
+    _, ds, di = _open(spec, iut, witness)
+    suite = build_fault_suite(spec, d, f)
     # ties break in the suite's order, not the IUT's
-    di = determinize(ensure_quiescence(iut))
     di = Dfsa._built(suite.alphabet, di.n_states, di.initial, di.accepting, di.transitions,
                      di.complete)
     completed_sizes = (a.n_states + (len(a.transitions) != a.n_states * len(a.alphabet))

@@ -241,9 +241,9 @@ def _require_shared_alphabet(a: Dfsa, b: Dfsa) -> None:
 
 
 def _product_moves(a: Dfsa, b: Dfsa):
-    """Successors of a pair key in the a x b product, in a's alphabet order.
-    Each state of a lists its moves once; b is probed only on those tokens."""
-    _require_shared_alphabet(a, b)
+    """Successors of a pair key in the a x b product of automata whose tokens
+    the callers have checked equal, in a's alphabet order.  Each state of a
+    lists its moves once; b is probed only on those tokens."""
     rows = [a.moves(s) for s in range(a.n_states)]
     b_step = b.transitions.get
 
@@ -255,6 +255,7 @@ def _product_moves(a: Dfsa, b: Dfsa):
 
 
 def _product(a: Dfsa, b: Dfsa, conjunction: bool) -> Dfsa:
+    _require_shared_alphabet(a, b)
     accept = all if conjunction else any
     return _search_dfsa(a.alphabet, (a.initial, b.initial), _product_moves(a, b),
                         lambda k: accept((k[0] in a.accepting, k[1] in b.accepting)))

@@ -251,9 +251,19 @@ class _Testers:
 
     def tester(self, path) -> TestPurpose:
         """The tester of ``path``, checked as ``path_to_test_purpose`` checks:
-        inputs, path, labels (in ``_edges_at``), last token, and then, at the
-        first tester built, the alphabets."""
-        path = tuple(path)
+        the path (``edges``), then the alphabets at the first tester built."""
+        chain, passes = self.edges(path := tuple(path))
+        n = len(path)
+        states, loops = self._frame(n)
+        tp = TestPurpose._built(states, 0, self.observed, self.emitted,
+                                (*chain, *passes, *loops), n, n + 1)
+        if not self._checked:
+            tp.__post_init__()
+            self._checked = True
+        return tp
+
+    def edges(self, path) -> tuple[list, list]:
+        """The chain and pass edges of ``path``; checks inputs, path, labels, last token."""
         if not self.emitted:
             raise FormatError("a tester needs at least one input to emit")
         if not path:
@@ -266,13 +276,7 @@ class _Testers:
             passes += pass_edges
         if path[-1] not in self.observed:
             raise FormatError("fault path must end with an output or delta")
-        states, loops = self._frame(n)
-        tp = TestPurpose._built(states, 0, self.observed, self.emitted,
-                                (*chain, *passes, *loops), n, n + 1)
-        if not self._checked:
-            tp.__post_init__()
-            self._checked = True
-        return tp
+        return chain, passes
 
     def text(self, path) -> str:
         """``tp_to_text`` of the tester of ``path``, a path ``tester`` accepts,
@@ -446,11 +450,22 @@ def _tp_file(i: int) -> str:
     return f"tp-{i:04d}.iolts"
 
 
+def _at_path(build, i: int, path):
+    """``build(path)`` for a suite's i-th path; its FormatError names the path."""
+    try:
+        return build(path)
+    except FormatError as exc:
+        raise FormatError(f"manifest.json path {i}: {exc}") from None
+
+
 def write_fault_model(model: FaultModel, directory: str) -> None:
     """Write tp-NNNN.iolts files plus a manifest.json describing the run, and
-    remove the tp-NNNN.iolts files numbered past the new suite."""
-    os.makedirs(directory, exist_ok=True)
+    remove the tp-NNNN.iolts files numbered past the new suite; a path that
+    ``read_fault_model`` refuses raises its FormatError before any writing."""
     testers = _Testers(model.inputs, (t for t in model.outputs if t != DELTA))
+    for i, path in enumerate(model.paths):
+        _at_path(testers.edges, i, path)
+    os.makedirs(directory, exist_ok=True)
     for i, path in enumerate(model.paths):
         with open(os.path.join(directory, _tp_file(i)), "w", encoding="utf-8") as fh:
             fh.write(testers.text(path))
@@ -503,7 +518,7 @@ def read_fault_model(directory: str) -> FaultModel:
     testers = _Testers(inputs, (t for t in outputs if t != DELTA))
     tps = []
     for i, path in enumerate(paths):
-        tps.append(testers.tester(path))
+        tps.append(_at_path(testers.tester, i, path))
         name = _tp_file(i)
         with open(os.path.join(directory, name), "rb") as fh:
             if fh.read() != testers.text(path).encode("utf-8"):

@@ -1,8 +1,9 @@
 """Executing fault models against implementation models.
 
-``run_tp`` checks its tester as ``tp_from_text`` does, then searches the
-synchronous product of the tester's automaton and the determinized
-implementation with the breadth-first core of ``fsa``.  The product moves on a
+Both runs open with one entry step, ``_open``, which checks the implementation's
+alphabets once and determinizes it.  ``run_tp`` checks its tester as
+``tp_from_text`` does, then searches the product of the tester's automaton and
+det(IUT) with the breadth-first core of ``fsa``.  The product moves on a
 token both sides enable; a sound tester enables one stimulus per state, which
 flows tester-to-implementation, and every observation (any enabled output or
 quiescence), which flows back.  The verdict is fail exactly when some product
@@ -50,6 +51,14 @@ def report_json(report: RunReport) -> dict:
     return {"overall": report.overall, "tps": tps, "elapsed_ms": report.elapsed_ms}
 
 
+def _open(iut: Iolts, observed: tuple[str, ...], emitted: tuple[str, ...]) -> Dfsa:
+    """The entry step of a run: det(IUT), its alphabets checked as ``run_tp`` says."""
+    ci = ensure_quiescence(iut)
+    if set(observed) != set(ci.outputs) or set(emitted) != set(ci.inputs):
+        raise AlphabetMismatchError("test purpose alphabets do not match the implementation's")
+    return determinize(ci)
+
+
 def run_tp(iut: Iolts, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None, bool]:
     """Run one tester against an implementation model.
 
@@ -59,9 +68,7 @@ def run_tp(iut: Iolts, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None, bo
     tester listens for and emits.
     """
     _require_sound(tp)
-    ci = ensure_quiescence(iut)
-    _check_alphabets(ci, tp.inputs, tp.outputs)
-    di = determinize(ci)
+    di = _open(iut, tp.inputs, tp.outputs)
     terminal = (tp.pass_index, tp.fail_index)
     moves = _product_moves(tp._automaton, di)
     stuck = False  # incomplete: some non-terminal key has no move
@@ -79,13 +86,6 @@ def run_tp(iut: Iolts, tp: TestPurpose) -> tuple[str, tuple[str, ...] | None, bo
     return ("pass", None, stuck) if word is None else ("fail", word, False)
 
 
-def _check_alphabets(ci: Iolts, observed: tuple[str, ...], emitted: tuple[str, ...]) -> None:
-    if set(observed) != set(ci.outputs) or set(emitted) != set(ci.inputs):
-        raise AlphabetMismatchError(
-            "test purpose alphabets do not match the implementation's"
-        )
-
-
 def run_fault_model(iut: Iolts, model: FaultModel, fail_fast: bool = False,
                     workers: int = 1) -> RunReport:
     """Run every tester of a fault model; overall pass means all pass.
@@ -97,9 +97,7 @@ def run_fault_model(iut: Iolts, model: FaultModel, fail_fast: bool = False,
     testers are omitted from the report); ``workers`` is ignored.
     """
     start = time.perf_counter()
-    ci = ensure_quiescence(iut)
-    _check_alphabets(ci, model.outputs, model.inputs)
-    di = determinize(ci)
+    di = _open(iut, model.outputs, model.inputs)
     step = di.transitions.get
     results: list[TpResult] = []
     for i, path in enumerate(model.paths):

@@ -473,3 +473,72 @@ def test_gen_model_rejects_negative_token_counts(tmp_path, capsys, counts):
                  "-o", str(out)]) == 2
     _assert_one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda mf: mf["paths"].__setitem__(0, ["z"]), "fault path label 'z' not in the alphabet"),
+    (lambda mf: mf["paths"].__setitem__(0, []), "fault path is empty"),
+    (lambda mf: mf["paths"].__setitem__(0, ["a"]), "fault path must end with an output or delta"),
+    (lambda mf: mf["inputs"].append("x"), "test purpose alphabets overlap"),
+], ids=["unknown-token", "empty-path", "ends-in-input", "overlap"])
+def test_run_suite_names_the_manifest_path_the_tester_builder_refuses(
+        files, tmp_path, capsys, corrupt, message):
+    out = tmp_path / "suite"
+    main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(out)])
+    manifest_file = out / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    corrupt(manifest)
+    manifest_file.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["run-suite", "--iut", files["m1"], "--suite", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: manifest.json path 0: {message}\n"
+
+
+# a model with two ``a`` moves from s0, and one that declares delta without its loops
+NONDETERMINISTIC_TEXT = M1_TEXT + "s0 a s0\n"
+DELTA_TEXT = M1_TEXT.replace("outputs: x", "outputs: x delta")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("gen-suite", "multigraph construction requires a deterministic model"),
+    ("complete", "model already contains delta"),
+    ("mutate", "mutation expects a delta-free model"),
+    ("check-ioco", "model mentions delta but is not quiescence-completed"),
+    ("check-lang", "model mentions delta but is not quiescence-completed"),
+    ("run-suite", "model mentions delta but is not quiescence-completed"),
+])
+def test_a_model_files_format_error_names_the_file(files, tmp_path, capsys, case, message):
+    """A model refused by the command that uses it is named, like a parse error;
+    for the checks, the implementation is named, not the specification."""
+    suite = tmp_path / "suite"
+    main(["gen-suite", "--spec", files["m1"], "-m", "2", "-o", str(suite)])
+    bad = tmp_path / "bad.iolts"
+    bad.write_text(NONDETERMINISTIC_TEXT if case == "gen-suite" else DELTA_TEXT)
+    argv = {
+        "gen-suite": ["gen-suite", "--spec", str(bad), "-m", "2", "-o", str(tmp_path / "s")],
+        "complete": ["complete", "--mode", "quiescence", "--model", str(bad)],
+        "mutate": ["mutate", "--model", str(bad), "--rate", "0.5"],
+        "check-ioco": ["check-ioco", "--spec", files["m1"], "--iut", str(bad)],
+        "check-lang": ["check-lang", "--spec", files["m1"], "--iut", str(bad)],
+        "run-suite": ["run-suite", "--iut", str(bad), "--suite", str(suite)],
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-suite", "--spec", "{m1}", "-m", "0", "-o", "{dir}/s"], "state bound m must be >= 1"),
+    (["gen-suite", "--spec", "{m1}", "-m", "2", "--limit", "0", "-o", "{dir}/s"],
+     "path limit must be >= 1"),
+    (["mutate", "--model", "{m1}", "--rate", "2"], "rate must lie in (0, 1]"),
+    (["check-ioco", "--spec", "{m1}", "--iut", "{four}"],
+     "specification and implementation alphabets differ"),
+    (["check-lang", "--spec", "{four}", "--iut", "{m1}"],
+     "specification and implementation alphabets differ"),
+])
+def test_flag_and_pair_errors_name_no_file(files, capsys, argv, message):
+    """A bad flag value or a mismatch between two models is no one file's fault."""
+    argv = [arg.format(m1=files["m1"], four=files["four"], dir=files["dir"]) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -672,3 +672,25 @@ def test_unknown_witness_strategy_rejected(m1):
         check_ioco(m1, m1, witness="bogus")
     with pytest.raises(ValueError, match="^unknown witness strategy 'bogus'$"):
         check_lang(m1, m1, empty_language(alpha), empty_language(alpha), witness="bogus")
+
+
+def test_entry_step_checks_the_witness_before_the_alphabets(m1):
+    """A bad witness strategy is reported first, also for a mismatched pair."""
+    other = replace(m1, inputs=("a", "b"))
+    alpha = obs_alphabet(m1)
+    with pytest.raises(AlphabetMismatchError):
+        check_ioco(m1, other)
+    with pytest.raises(ValueError, match="^unknown witness strategy 'bogus'$"):
+        check_ioco(m1, other, witness="bogus")
+    with pytest.raises(ValueError, match="^unknown witness strategy 'bogus'$"):
+        check_lang(m1, other, empty_language(alpha), empty_language(alpha), witness="bogus")
+
+
+def test_products_outside_a_verdict_still_check_their_alphabets():
+    """The product search trusts its callers; ``intersect``, ``union`` and the
+    cover, which take any two automata, check at their own entry."""
+    a, b = empty_language(("a", "x")), empty_language(("a", "y", "z"))
+    for product in (intersect, union, witnesses_transition_cover):
+        with pytest.raises(AlphabetMismatchError,
+                           match=r"^automata alphabets differ: \['x', 'y', 'z'\] not shared$"):
+            product(a, b)

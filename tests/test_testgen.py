@@ -459,3 +459,28 @@ def test_shared_piece_testers_match_reference():
             assert tp_invariant_violations(tp) == []
             assert testers.text(path) == tp_to_text(
                 tp, comments=(f"fault path: {' '.join(path)}",))
+
+
+@pytest.mark.parametrize("path, message", [
+    ((), "fault path is empty"),
+    (("a",), "fault path must end with an output or delta"),
+    (("z", "x"), "fault path label 'z' not in the alphabet"),
+])
+def test_write_refuses_the_paths_read_refuses(m1, tmp_path, path, message):
+    """A hand-built model that ``read_fault_model`` would refuse is not written:
+    write raises read's message before it touches the directory."""
+    model = generate_fault_model(m1, m=2, limit=3)
+    bad = replace(model, paths=(model.paths[0], path))
+    target = tmp_path / "written"
+    with pytest.raises(FormatError) as written:
+        write_fault_model(bad, str(target))
+    assert str(written.value) == f"manifest.json path 1: {message}"
+    assert not target.exists()
+    write_fault_model(model, str(tmp_path / "read"))
+    manifest_file = tmp_path / "read" / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest["paths"][1] = list(path)
+    manifest_file.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError) as read:
+        read_fault_model(str(tmp_path / "read"))
+    assert str(read.value) == str(written.value)

@@ -326,3 +326,14 @@ def test_path_walk_matches_product_runs():
             failing += sum(r.verdict == "fail" for r in expected)
             incomplete += sum(r.incomplete for r in expected)
     assert failing and incomplete
+
+
+def test_both_runs_refuse_a_mismatched_implementation_alike(m1):
+    """``run_tp`` and ``run_fault_model`` share one entry step: the same check,
+    with the same message, delta included on the observed side."""
+    model = generate_fault_model(m1, m=2, limit=5)
+    for iut in (replace(m1, outputs=("x", "y")), replace(m1, inputs=("a", "b"))):
+        for run in (lambda: run_tp(iut, model.tps[0]), lambda: run_fault_model(iut, model)):
+            with pytest.raises(AlphabetMismatchError,
+                               match="^test purpose alphabets do not match the implementation's$"):
+                run()
