@@ -160,6 +160,19 @@ def enumerate_fault_paths(g: Multigraph, limit: int) -> list[tuple[str, ...]]:
     return paths
 
 
+def _tester_names(observed, emitted) -> set[str]:
+    """A tester's action names; FormatError if its observed and emitted
+    alphabets overlap, hold a reserved name, or emit delta."""
+    names = set(observed) | set(emitted)
+    if len(names) != len(observed) + len(emitted):
+        raise FormatError("test purpose alphabets overlap")
+    if not names.isdisjoint((TAU, PASS, FAIL)):
+        raise FormatError("reserved name used as a test purpose action")
+    if DELTA in emitted:
+        raise FormatError("delta belongs to the observed side of a test purpose")
+    return names
+
+
 @dataclass(frozen=True)
 class TestPurpose(_Record):
     """A tester automaton: listens on the model's outputs plus delta, emits
@@ -182,13 +195,7 @@ class TestPurpose(_Record):
     def __post_init__(self):
         if len(set(self.states)) != len(self.states):
             raise FormatError("duplicate state name in test purpose")
-        names = set(self.inputs) | set(self.outputs)
-        if len(names) != len(self.inputs) + len(self.outputs):
-            raise FormatError("test purpose alphabets overlap")
-        if not names.isdisjoint((TAU, PASS, FAIL)):
-            raise FormatError("reserved name used as a test purpose action")
-        if DELTA in self.outputs:
-            raise FormatError("delta belongs to the observed side of a test purpose")
+        names = _tester_names(self.inputs, self.outputs)
         n = len(self.states)
         if not 0 <= self.initial < n:
             raise FormatError("initial state out of range")
@@ -450,28 +457,49 @@ def _tp_file(i: int) -> str:
     return f"tp-{i:04d}.iolts"
 
 
-def _at_path(build, i: int, path):
-    """``build(path)`` for a suite's i-th path; its FormatError names the path."""
+def _at_path(i: int, build, *args):
+    """``build(*args)`` for a suite's i-th path; its FormatError names the path."""
     try:
-        return build(path)
+        return build(*args)
     except FormatError as exc:
         raise FormatError(f"manifest.json path {i}: {exc}") from None
 
 
+def _check_manifest(m, n, levels, limit, truncated, tp_count, inputs, outputs, paths):
+    """FormatError if a suite's manifest values, in ``_MANIFEST_TYPES`` order,
+    break a rule that holds between them."""
+    if DELTA not in outputs:
+        raise FormatError("manifest.json outputs lack 'delta'")
+    if tp_count != len(paths):
+        raise FormatError("manifest.json tp_count differs from its number of paths")
+    if min(m, n, limit) < 1:
+        raise FormatError("manifest.json needs m, n and limit of at least 1")
+    if len(paths) > limit:
+        raise FormatError("manifest.json holds more paths than its limit")
+    if truncated and len(paths) < limit:
+        raise FormatError("manifest.json is truncated with fewer paths than its limit")
+    if levels != m * n + 1:
+        raise FormatError("manifest.json needs levels of m*n + 1")
+
+
 def write_fault_model(model: FaultModel, directory: str) -> None:
     """Write tp-NNNN.iolts files plus a manifest.json describing the run, and
-    remove the tp-NNNN.iolts files numbered past the new suite; a path that
-    ``read_fault_model`` refuses raises its FormatError before any writing."""
+    remove the tp-NNNN.iolts files numbered past the new suite; a model that
+    ``read_fault_model`` refuses raises its FormatError before any writing:
+    paths and alphabets first, as testers are built, then the manifest rules."""
     testers = _Testers(model.inputs, (t for t in model.outputs if t != DELTA))
     for i, path in enumerate(model.paths):
-        _at_path(testers.edges, i, path)
+        _at_path(i, testers.edges, path)
+        if i == 0:  # reading checks the alphabets at its first tester
+            _at_path(0, _tester_names, testers.observed, testers.emitted)
+    manifest = dict(zip(_MANIFEST_TYPES, (  # JSON spells the tuples as lists
+        model.m, model.n, model.levels, model.limit, model.truncated, len(model.paths),
+        model.inputs, model.outputs, model.paths)))
+    _check_manifest(*manifest.values())
     os.makedirs(directory, exist_ok=True)
     for i, path in enumerate(model.paths):
         with open(os.path.join(directory, _tp_file(i)), "w", encoding="utf-8") as fh:
             fh.write(testers.text(path))
-    manifest = dict(zip(_MANIFEST_TYPES, (  # JSON spells the tuples as lists
-        model.m, model.n, model.levels, model.limit, model.truncated, len(model.paths),
-        model.inputs, model.outputs, model.paths)))
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -497,28 +525,17 @@ def read_fault_model(directory: str) -> FaultModel:
     for key, kind in _MANIFEST_TYPES.items():
         if type(manifest.get(key)) is not kind:  # also rejects bool for int
             raise FormatError(f"manifest.json needs key {key!r} of type {kind.__name__}")
-    m, n, levels, limit, truncated, tp_count, inputs, outputs, paths = (
-        manifest[key] for key in _MANIFEST_TYPES)
+    values = [manifest[key] for key in _MANIFEST_TYPES]
+    m, n, _, limit, truncated, _, inputs, outputs, paths = values
     if not all(type(v) is list and all(type(t) is str for t in v)
                for v in (inputs, outputs, *paths)):
         raise FormatError("manifest.json alphabets and paths must be lists of tokens")
-    if DELTA not in outputs:
-        raise FormatError("manifest.json outputs lack 'delta'")
-    if tp_count != len(paths):
-        raise FormatError("manifest.json tp_count differs from its number of paths")
-    if min(m, n, limit) < 1:
-        raise FormatError("manifest.json needs m, n and limit of at least 1")
-    if len(paths) > limit:
-        raise FormatError("manifest.json holds more paths than its limit")
-    if truncated and len(paths) < limit:
-        raise FormatError("manifest.json is truncated with fewer paths than its limit")
-    if levels != m * n + 1:
-        raise FormatError("manifest.json needs levels of m*n + 1")
+    _check_manifest(*values)
     paths = tuple(map(tuple, paths))
     testers = _Testers(inputs, (t for t in outputs if t != DELTA))
     tps = []
     for i, path in enumerate(paths):
-        tps.append(_at_path(testers.tester, i, path))
+        tps.append(_at_path(i, testers.tester, path))
         name = _tp_file(i)
         with open(os.path.join(directory, name), "rb") as fh:
             if fh.read() != testers.text(path).encode("utf-8"):

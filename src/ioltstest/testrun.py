@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError
-from .fsa import _first_word, _product_moves
+from .fsa import Dfsa, _first_word, _product_moves
 from .iolts import Iolts, determinize, ensure_quiescence
 from .testgen import FaultModel, TestPurpose, _require_sound
 

@@ -77,6 +77,11 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
 def test_check_lang_no_languages_conforms(files, capsys):
     rc = main(["check-lang", "--spec", files["m1"], "--iut", files["m3"]])
     assert rc == 0

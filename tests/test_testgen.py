@@ -484,3 +484,99 @@ def test_write_refuses_the_paths_read_refuses(m1, tmp_path, path, message):
     with pytest.raises(FormatError) as read:
         read_fault_model(str(tmp_path / "read"))
     assert str(read.value) == str(written.value)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(limit=1), "manifest.json holds more paths than its limit"),
+    (dict(limit=5, truncated=True),
+     "manifest.json is truncated with fewer paths than its limit"),
+    (dict(m=0), "manifest.json needs m, n and limit of at least 1"),
+    (dict(outputs=("x",)), "manifest.json outputs lack 'delta'"),
+    (dict(inputs=("a", "x")), "manifest.json path 0: test purpose alphabets overlap"),
+], ids=["over-limit", "truncated-short", "m-0", "no-delta", "overlap"])
+def test_write_refuses_the_models_read_refuses(m1, tmp_path, fields, message):
+    """Sound paths do not make a sound suite: a model that breaks a manifest
+    rule or an alphabet rule is refused with read's message, before writing."""
+    target = tmp_path / "suite"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        write_fault_model(replace(generate_fault_model(m1, 2, 3), **fields), str(target))
+    assert not target.exists()
+
+
+def _hand_manifest(model):
+    """The manifest of ``model``, built key by key as JSON spells it."""
+    return {"m": model.m, "n": model.n, "levels": model.m * model.n + 1,
+            "limit": model.limit, "truncated": model.truncated,
+            "tp_count": len(model.paths), "inputs": list(model.inputs),
+            "outputs": list(model.outputs), "paths": [list(p) for p in model.paths]}
+
+
+def _broken_models(model):
+    """``model`` itself, then ``model`` with one suite rule broken per case,
+    each under the name of the rule it breaks.  No model breaks the
+    ``tp_count`` or ``levels`` rule: write derives both values."""
+    paths, inputs, outputs = model.paths, model.inputs, model.outputs
+    yield "none", model
+    yield "delta-output", replace(model, outputs=tuple(t for t in outputs if t != DELTA))
+    yield "m-positive", replace(model, m=0)
+    yield "n-positive", replace(model, n=0)
+    yield "limit-positive", replace(model, limit=0)
+    yield "within-limit", replace(model, limit=max(1, len(paths) - 1))
+    yield "truncated-full", replace(model, limit=len(paths) + 1, truncated=True)
+    yield "overlap", replace(model, inputs=inputs + (outputs[0],))
+    yield "overlap", replace(model, inputs=(inputs[0], DELTA) + inputs[1:])
+    yield "reserved", replace(model, inputs=inputs + ("tau",))
+    yield "reserved", replace(model, outputs=("pass",) + outputs)
+    for i in sorted({0, len(paths) - 1} if paths else ()):
+        for bad in ((), paths[i][:-1] + (inputs[-1],), ("zz",) + paths[i]):
+            yield f"path-{min(i, 1)}", replace(model, paths=paths[:i] + (bad,) + paths[i + 1:])
+
+
+def _outcome(action):
+    """("error", message) if ``action()`` raises FormatError, else ("ok", result)."""
+    try:
+        return "ok", action()
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+def test_write_and_read_refuse_the_same_models(tmp_path):
+    """Oracle: on seeded random suites with one rule broken per case, writing
+    the model fails exactly when reading its hand-built manifest fails, with
+    the same message, and then creates no directory.  A model write accepts
+    reads back with its paths, scalars and ``path_to_test_purpose`` testers."""
+    refused, accepted = set(), set()
+    for seed in range(12):
+        spec = random_iolts(GenParams(
+            states=1 + seed % 4, inputs=1 + seed % 3, outputs=seed and 1 + seed % 3,
+            input_enabled=seed % 2 == 0, seed=seed))
+        # a third of the limits exceed the path count, so those suites are exhaustive
+        limit = (2 + seed % 7) * (21 if seed % 3 == 0 else 1)
+        model = generate_fault_model(spec, m=1 + seed % 2, limit=limit)
+        base = tmp_path / f"base-{seed}"
+        write_fault_model(model, str(base))
+        for k, (rule, broken) in enumerate(_broken_models(model)):
+            target = tmp_path / f"written-{seed}-{k}"
+            written = _outcome(lambda: write_fault_model(broken, str(target)))
+            (base / "manifest.json").write_text(json.dumps(_hand_manifest(broken)))
+            read = _outcome(lambda: read_fault_model(str(base)))
+            assert written[0] == read[0], (seed, rule, written, read)
+            if written[0] == "error":
+                assert written == read and not target.exists()
+                refused.add(rule)
+                continue
+            accepted.add(rule)
+            loaded = read_fault_model(str(target))
+            assert loaded == read[1]
+            assert json.loads((target / "manifest.json").read_text()) == _hand_manifest(broken)
+            assert (loaded.paths, loaded.m, loaded.n, loaded.limit, loaded.truncated,
+                    loaded.inputs, loaded.outputs) == (
+                broken.paths, broken.m, broken.n, broken.limit, broken.truncated,
+                broken.inputs, broken.outputs)
+            observed = tuple(t for t in broken.outputs if t != DELTA)
+            assert loaded.tps == tuple(path_to_test_purpose(p, broken.inputs, observed)
+                                       for p in broken.paths)
+    assert refused == {"delta-output", "m-positive", "n-positive", "limit-positive",
+                       "within-limit", "truncated-full", "overlap", "reserved",
+                       "path-0", "path-1"}
+    assert "none" in accepted

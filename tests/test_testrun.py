@@ -1,10 +1,15 @@
 """Synchronous-product test runs and report aggregation."""
 
+import functools
+import importlib
+import pkgutil
 import re
+import typing
 from dataclasses import replace
 
 import pytest
 
+import ioltstest
 from ioltstest import (
     AlphabetMismatchError,
     FaultModel,
@@ -337,3 +342,33 @@ def test_both_runs_refuse_a_mismatched_implementation_alike(m1):
             with pytest.raises(AlphabetMismatchError,
                                match="^test purpose alphabets do not match the implementation's$"):
                 run()
+
+
+def test_every_function_resolves_its_annotations():
+    """``typing.get_type_hints`` resolves the annotations of every function
+    and method of the package: each name they use is imported where written."""
+    def functions(owner, module_name):
+        for value in vars(owner).values():
+            if isinstance(value, (staticmethod, classmethod)):
+                value = value.__func__
+            elif isinstance(value, property):
+                value = value.fget
+            elif isinstance(value, functools.cached_property):
+                value = value.func
+            if getattr(value, "__module__", None) != module_name:
+                continue
+            if isinstance(value, type):
+                yield from functions(value, module_name)
+            elif callable(value):
+                yield value
+
+    checked = []
+    for info in pkgutil.iter_modules(ioltstest.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"ioltstest.{info.name}")
+        for function in functions(module, module.__name__):
+            typing.get_type_hints(function)
+            checked.append(f"{info.name}.{function.__qualname__}")
+    assert {"testrun._open", "cli.main", "testgen.TestPurpose.step",
+            "testgen.Multigraph.edges", "fsa._Record._built"} <= set(checked)
