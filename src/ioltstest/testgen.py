@@ -31,6 +31,7 @@ from .iolts import (
     PASS,
     TAU,
     Iolts,
+    _NAME_RE,
     _read_sections,
     _serialize,
     _transition_lines,
@@ -161,8 +162,8 @@ def enumerate_fault_paths(g: Multigraph, limit: int) -> list[tuple[str, ...]]:
 
 
 def _tester_names(observed, emitted) -> set[str]:
-    """A tester's action names; FormatError if its observed and emitted
-    alphabets overlap, hold a reserved name, or emit delta."""
+    """A tester's action names; FormatError if its alphabets overlap, hold a reserved
+    name, emit delta, or hold a string that is not a name (the manifest types the rest)."""
     names = set(observed) | set(emitted)
     if len(names) != len(observed) + len(emitted):
         raise FormatError("test purpose alphabets overlap")
@@ -170,7 +171,13 @@ def _tester_names(observed, emitted) -> set[str]:
         raise FormatError("reserved name used as a test purpose action")
     if DELTA in emitted:
         raise FormatError("delta belongs to the observed side of a test purpose")
+    _check_names([t for t in (*observed, *emitted) if type(t) is str])
     return names
+
+
+def _check_names(names) -> None:
+    if bad := [t for t in names if type(t) is not str or not _NAME_RE.match(t)]:
+        raise FormatError(f"invalid test purpose name {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -180,8 +187,8 @@ class TestPurpose(_Record):
 
     Unlike a plain model, ``inputs`` legitimately contains delta here (the
     tester observes quiescence), so this is its own type rather than an Iolts.
-    The constructor checks names and ranges only; ``step`` and ``stimulus``
-    assume a sound tester, one that ``tp_invariant_violations`` passes.
+    The constructor checks ranges, and names by the line format's rule; ``step``
+    and ``stimulus`` assume a sound tester, one ``tp_invariant_violations`` passes.
     """
 
     states: tuple[str, ...]
@@ -196,6 +203,7 @@ class TestPurpose(_Record):
         if len(set(self.states)) != len(self.states):
             raise FormatError("duplicate state name in test purpose")
         names = _tester_names(self.inputs, self.outputs)
+        _check_names((*self.states, *self.inputs, *self.outputs))
         n = len(self.states)
         if not 0 <= self.initial < n:
             raise FormatError("initial state out of range")
@@ -465,9 +473,19 @@ def _at_path(i: int, build, *args):
         raise FormatError(f"manifest.json path {i}: {exc}") from None
 
 
-def _check_manifest(m, n, levels, limit, truncated, tp_count, inputs, outputs, paths):
-    """FormatError if a suite's manifest values, in ``_MANIFEST_TYPES`` order,
-    break a rule that holds between them."""
+def _check_manifest(manifest) -> None:
+    """FormatError if ``manifest``, a suite's JSON document, is not an object of
+    ``_MANIFEST_TYPES`` keys and types, token lists and values that agree."""
+    if not isinstance(manifest, dict):
+        raise FormatError("manifest.json must hold a JSON object")
+    for key, kind in _MANIFEST_TYPES.items():
+        if type(manifest.get(key)) is not kind:  # also rejects bool for int
+            raise FormatError(f"manifest.json needs key {key!r} of type {kind.__name__}")
+    m, n, levels, limit, truncated, tp_count, inputs, outputs, paths = map(
+        manifest.get, _MANIFEST_TYPES)
+    if not all(type(v) is list and all(type(t) is str for t in v)
+               for v in (inputs, outputs, *paths)):
+        raise FormatError("manifest.json alphabets and paths must be lists of tokens")
     if DELTA not in outputs:
         raise FormatError("manifest.json outputs lack 'delta'")
     if tp_count != len(paths):
@@ -486,23 +504,22 @@ def write_fault_model(model: FaultModel, directory: str) -> None:
     """Write tp-NNNN.iolts files plus a manifest.json describing the run, and
     remove the tp-NNNN.iolts files numbered past the new suite; a model that
     ``read_fault_model`` refuses raises its FormatError before any writing:
-    paths and alphabets first, as testers are built, then the manifest rules."""
+    paths and alphabets first, then ``_check_manifest`` on the manifest text."""
     testers = _Testers(model.inputs, (t for t in model.outputs if t != DELTA))
     for i, path in enumerate(model.paths):
         _at_path(i, testers.edges, path)
         if i == 0:  # reading checks the alphabets at its first tester
             _at_path(0, _tester_names, testers.observed, testers.emitted)
-    manifest = dict(zip(_MANIFEST_TYPES, (  # JSON spells the tuples as lists
+    text = json.dumps(dict(zip(_MANIFEST_TYPES, (  # JSON spells the tuples as lists
         model.m, model.n, model.levels, model.limit, model.truncated, len(model.paths),
-        model.inputs, model.outputs, model.paths)))
-    _check_manifest(*manifest.values())
+        model.inputs, model.outputs, model.paths))), indent=2) + "\n"
+    _check_manifest(json.loads(text))
     os.makedirs(directory, exist_ok=True)
     for i, path in enumerate(model.paths):
         with open(os.path.join(directory, _tp_file(i)), "w", encoding="utf-8") as fh:
             fh.write(testers.text(path))
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
     for name in os.listdir(directory):  # testers of an earlier, longer suite
         i = name[3:-6]
         if i.isdecimal() and name == _tp_file(int(i)) and int(i) >= len(model.paths):
@@ -511,8 +528,8 @@ def write_fault_model(model: FaultModel, directory: str) -> None:
 
 def read_fault_model(directory: str) -> FaultModel:
     """Load a directory written by ``write_fault_model``, rebuilding each tester
-    from its manifest path; FormatError on a malformed manifest or on a tester
-    file that differs from what ``write_fault_model`` writes for that path."""
+    from its manifest path; FormatError on a manifest ``_check_manifest`` refuses
+    or on a tester file that differs from what write writes for that path."""
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -520,17 +537,8 @@ def read_fault_model(directory: str) -> FaultModel:
             raise FormatError("manifest.json is nested too deeply") from None
         except ValueError:  # bad JSON or UTF-8, or an integer too long to convert
             raise FormatError("manifest.json is not readable JSON") from None
-    if not isinstance(manifest, dict):
-        raise FormatError("manifest.json must hold a JSON object")
-    for key, kind in _MANIFEST_TYPES.items():
-        if type(manifest.get(key)) is not kind:  # also rejects bool for int
-            raise FormatError(f"manifest.json needs key {key!r} of type {kind.__name__}")
-    values = [manifest[key] for key in _MANIFEST_TYPES]
-    m, n, _, limit, truncated, _, inputs, outputs, paths = values
-    if not all(type(v) is list and all(type(t) is str for t in v)
-               for v in (inputs, outputs, *paths)):
-        raise FormatError("manifest.json alphabets and paths must be lists of tokens")
-    _check_manifest(*values)
+    _check_manifest(manifest)
+    m, n, _, limit, truncated, _, inputs, outputs, paths = map(manifest.get, _MANIFEST_TYPES)
     paths = tuple(map(tuple, paths))
     testers = _Testers(inputs, (t for t in outputs if t != DELTA))
     tps = []

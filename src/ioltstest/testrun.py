@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import AlphabetMismatchError
+from .errors import AlphabetMismatchError, FormatError
 from .fsa import Dfsa, _first_word, _product_moves
 from .iolts import Iolts, determinize, ensure_quiescence
 from .testgen import FaultModel, TestPurpose, _require_sound
@@ -97,6 +97,8 @@ def run_fault_model(iut: Iolts, model: FaultModel, fail_fast: bool = False,
     testers are omitted from the report); ``workers`` is ignored.
     """
     start = time.perf_counter()
+    if model.paths and not model.inputs:  # as the tester builder refuses
+        raise FormatError("a tester needs at least one input to emit")
     di = _open(iut, model.outputs, model.inputs)
     step = di.transitions.get
     results: list[TpResult] = []

@@ -8,6 +8,7 @@ by key, so that the checks past the first syntax error are reached too."""
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 
@@ -20,8 +21,10 @@ from ioltstest import (  # noqa: E402
     compile_regex,
     generate_fault_model,
     parse_model,
+    path_to_test_purpose,
     read_fault_model,
     tp_from_text,
+    tp_invariant_violations,
     tp_to_text,
     write_fault_model,
 )
@@ -144,3 +147,24 @@ def test_read_fault_model_raises_only_format_or_os_errors(replaced, edits, teste
             read_fault_model(directory)
         except (*EXPECTED, OSError):
             pass
+
+
+# names the line format carries, reserved ones, and ones it would split or cut
+tester_names = st.sampled_from(NAMES + LABELS + ["a b", "t#0", "", "x\ty", "é", "s0\n"]) \
+    | st.text(max_size=3)
+
+
+@FUZZ
+@given(st.lists(tester_names, min_size=1, max_size=3),
+       st.lists(tester_names, min_size=1, max_size=3), tester_names)
+def test_accepted_testers_read_back_equal(inputs, outputs, state):
+    """Oracle: a tester that the public constructor accepts and that
+    ``tp_invariant_violations`` passes reads back equal through ``tp_to_text``
+    and ``tp_from_text``; any other tester is refused with FormatError."""
+    try:
+        tp = path_to_test_purpose((outputs[-1],), inputs, outputs)
+        tp = replace(tp, states=(state,) + tp.states[1:])
+    except FormatError:
+        return
+    if not tp_invariant_violations(tp):
+        assert tp_from_text(tp_to_text(tp)) == tp

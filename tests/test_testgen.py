@@ -12,6 +12,7 @@ from ioltstest import (
     FormatError,
     GenParams,
     Multigraph,
+    angelic_input_enable,
     build_multigraph,
     determinize,
     ensure_quiescence,
@@ -21,6 +22,7 @@ from ioltstest import (
     path_to_test_purpose,
     random_iolts,
     read_fault_model,
+    serialize_model,
     tp_from_text,
     tp_invariant_violations,
     tp_to_text,
@@ -580,3 +582,102 @@ def test_write_and_read_refuse_the_same_models(tmp_path):
                        "within-limit", "truncated-full", "overlap", "reserved",
                        "path-0", "path-1"}
     assert "none" in accepted
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(m=True), "manifest.json needs key 'm' of type int"),
+    (dict(n=2.0), "manifest.json needs key 'n' of type int"),
+    (dict(limit=3.0), "manifest.json needs key 'limit' of type int"),
+    (dict(truncated=1), "manifest.json needs key 'truncated' of type bool"),
+    (dict(outputs=("x", 3, "delta")), "manifest.json alphabets and paths must be lists of tokens"),
+    (dict(inputs=("a", 3)), "manifest.json alphabets and paths must be lists of tokens"),
+], ids=["m-bool", "n-float", "limit-float", "truncated-int", "output-int", "input-int"])
+def test_write_and_read_refuse_badly_typed_manifests(m1, tmp_path, fields, message):
+    """Write checks the manifest it would write by read's type rules: a model
+    whose fields JSON spells with the wrong type is refused with read's
+    message, and no directory or file is made."""
+    model = generate_fault_model(m1, 2, 3)
+    broken = replace(model, **fields)
+    target, existing = tmp_path / "written", tmp_path / "existing"
+    existing.mkdir()
+    for directory in (target, existing):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            write_fault_model(broken, str(directory))
+    assert not target.exists() and not any(existing.iterdir())
+    base = tmp_path / "read"
+    write_fault_model(model, str(base))
+    (base / "manifest.json").write_text(json.dumps(_hand_manifest(broken)))
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read_fault_model(str(base))
+
+
+def test_line_format_reads_back_what_it_writes():
+    """Oracle: every tester of seeded suites reads back equal through
+    ``tp_to_text`` and ``tp_from_text``, and every seeded model and its
+    completions through ``serialize_model`` and ``parse_model``."""
+    testers = 0
+    for seed in range(24):
+        spec = random_iolts(GenParams(
+            states=1 + seed % 6, inputs=1 + seed % 3, outputs=seed % 4,
+            deterministic=seed % 4 != 3, input_enabled=seed % 3 == 0, seed=seed))
+        completed = ensure_quiescence(spec)
+        for model in (spec, completed, angelic_input_enable(spec),
+                      ensure_quiescence(angelic_input_enable(spec))):
+            assert parse_model(serialize_model(model)) == model
+        if completed.is_deterministic:
+            for tp in generate_fault_model(spec, m=1 + seed % 2, limit=60).tps:
+                assert tp_from_text(tp_to_text(tp)) == tp
+                testers += 1
+    assert testers > 600  # 642 at these seeds
+
+
+@pytest.mark.parametrize("fields, name", [
+    (dict(states=("t 0", "pass", "fail")), "t 0"),
+    (dict(states=("t#0", "pass", "fail")), "t#0"),
+    (dict(states=("", "pass", "fail")), ""),
+    (dict(states=(0, "pass", "fail")), 0),
+    (dict(outputs=("a b",)), "a b"),
+    (dict(inputs=("x", "delta", "x y")), "x y"),
+    (dict(outputs=(3,)), 3),
+], ids=["space", "comment", "empty", "int-state", "action-space", "observed-space",
+        "int-action"])
+def test_test_purpose_refuses_names_the_line_format_cannot_carry(fields, name):
+    """The tester of ``x`` over input a, states t0 pass fail, with one name
+    replaced by one the line format would split, cut off or drop: the
+    constructor refuses it with one message, before its other checks."""
+    tp = path_to_test_purpose(("x",), ("a",), ("x",))
+    with pytest.raises(FormatError, match=f"^{re.escape(f'invalid test purpose name {name!r}')}$"):
+        replace(tp, **fields)
+
+
+@pytest.mark.parametrize("inputs, outputs, message", [
+    (tuple(f"a {i}" for i in range(20)), ("x",), "invalid test purpose name 'a 0'"),
+    (("a 0", "a"), ("x", "y 1"), "invalid test purpose name 'y 1'"),
+    (("a b", "x"), ("x",), "test purpose alphabets overlap"),
+    (("a b", "tau"), ("x",), "reserved name used as a test purpose action"),
+    (("a", "b c"), ("x", "y z", "pass"), "reserved name used as a test purpose action"),
+], ids=["first-of-many", "observed-first", "overlap-first", "reserved-first",
+        "reserved-observed-first"])
+def test_tester_names_report_the_first_bad_name(inputs, outputs, message):
+    """A bad name is reported after the three alphabet rules, and it is the
+    first in declaration order, observed then emitted, not in set order."""
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        path_to_test_purpose(("x",), inputs, outputs)
+
+
+def test_write_and_read_refuse_a_name_the_line_format_cannot_carry(m1, tmp_path):
+    """A suite whose input ``a`` is renamed ``a b`` in its alphabet and paths
+    keeps every path rule; write and read both refuse it at path 0."""
+    model = generate_fault_model(m1, 2, 3)
+    renamed = tuple(tuple("a b" if t == "a" else t for t in p) for p in model.paths)
+    broken = replace(model, inputs=("a b",), paths=renamed)
+    message = "manifest.json path 0: invalid test purpose name 'a b'"
+    target = tmp_path / "written"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        write_fault_model(broken, str(target))
+    assert not target.exists()
+    base = tmp_path / "read"
+    write_fault_model(model, str(base))
+    (base / "manifest.json").write_text(json.dumps(_hand_manifest(broken)))
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read_fault_model(str(base))

@@ -258,6 +258,19 @@ def test_empty_fault_model_passes(m1):
     assert run_fault_model(m1, empty).overall == "pass"
 
 
+def test_model_without_inputs_is_refused_as_its_testers_are():
+    """A hand-built model with a path but no input to emit is refused with the
+    tester builder's message, not an IndexError; without paths it passes."""
+    iut = Iolts(("q0", "q1"), 0, (), ("x", "y"), ((0, "x", 1),))
+    model = FaultModel((), (("y",),), 1, 2, 1, True, (), ("x", "y", "delta"))
+    message = "a tester needs at least one input to emit"
+    for build in (lambda: path_to_test_purpose(("y",), (), ("x", "y")),
+                  lambda: run_fault_model(iut, model)):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            build()
+    assert run_fault_model(iut, replace(model, paths=(), truncated=False)).overall == "pass"
+
+
 def test_fail_fast_stops_early(m3, m1):
     model = generate_fault_model(m1, m=2, limit=50)
     report = run_fault_model(m3, model, fail_fast=True)
