@@ -44,15 +44,30 @@ _MAX_NESTING = 100  # most parentheses open at once in a regex
 
 
 class _Record:
-    """Base of the package's frozen records: ``_built(*values)`` makes one from
-    its field values in declaration order without ``__post_init__``'s checks,
-    for a record derived from checked ones, well formed by construction."""
+    """Base of the package's frozen records and of their one index and move rule.
+    ``_built(*values)`` makes one from its field values in declaration order
+    without ``__post_init__``'s checks, for a record derived from checked ones."""
 
     @classmethod
     def _built(cls, *values):
         record = object.__new__(cls)
         record.__dict__.update(zip(cls.__dataclass_fields__, values))
         return record
+
+    @staticmethod
+    def _is_index(i, n: int) -> bool:
+        """The one state-index rule: ``i`` is an int, not a bool, in range(n)."""
+        return type(i) is int and 0 <= i < n
+
+    def _check_moves(self, n: int, moves, labels, unknown: str) -> None:
+        """The one move rule: initial state and move ends are indices, labels in ``labels``."""
+        if not self._is_index(self.initial, n):
+            raise FormatError("initial state out of range")
+        for src, label, dst in moves:
+            if not (self._is_index(src, n) and self._is_index(dst, n)):
+                raise FormatError("transition endpoint out of range")
+            if label not in labels:
+                raise FormatError(unknown.format(label))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,19 +90,12 @@ class Dfsa(_Record):
     def __post_init__(self):
         if len(set(self.alphabet)) != len(self.alphabet):
             raise FormatError("duplicate token in automaton alphabet")
-        if self.n_states < 1:
+        if type(self.n_states) is not int or self.n_states < 1:
             raise FormatError("automaton needs at least one state")
-        states = range(self.n_states)
-        if self.initial not in states:
-            raise FormatError("initial state out of range")
-        if not all(s in states for s in self.accepting):
+        self._check_moves(self.n_states, ((s, t, d) for (s, t), d in self.transitions.items()),
+                          set(self.alphabet), "transition token {!r} not in alphabet")
+        if not all(self._is_index(s, self.n_states) for s in self.accepting):
             raise FormatError("accepting state out of range")
-        tokens = set(self.alphabet)
-        for (src, tok), dst in self.transitions.items():
-            if src not in states or dst not in states:
-                raise FormatError("transition endpoint out of range")
-            if tok not in tokens:
-                raise FormatError(f"transition token {tok!r} not in alphabet")
         # the keys are distinct (state, token) pairs in range, so a full count
         # means every pair is defined
         if self.complete and len(self.transitions) != self.n_states * len(self.alphabet):

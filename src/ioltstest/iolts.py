@@ -10,11 +10,11 @@ of ``fsa`` over the model's adjacency rows; ``traces_bounded`` enumerates it
 with its own tau-closure, so each cross-checks the other.
 
 The line format of models and testers has its one reader, ``_read_sections``,
-and its one writer, ``_serialize``, here; both take the section names from
-``_SECTIONS``.  The reader resolves each transition line to its state indices
-in the one pass that splits it.  A model is checked when it is parsed or
-constructed; the models the package derives from it, such as its quiescence
-completion, are not checked again (``Iolts._built``).
+its one writer, ``_serialize``, and its one name rule, ``_check_name``, here.
+The reader resolves each transition line to its state indices in the pass
+that splits it.  A model is checked when it is parsed or constructed, names
+by that rule and indices by ``_Record``'s, so a float or bool index is refused;
+the models the package derives from it are not checked again (``Iolts._built``).
 
 State order is declaration order and is semantically load-bearing: it defines
 the state indices used by the multigraph construction and every tie-breaking
@@ -40,12 +40,10 @@ _RESERVED_NAMES = frozenset({TAU, DELTA, PASS, FAIL})
 _SECTIONS = ("states", "initial", "inputs", "outputs")
 
 
-def _check_name(name: str, kind: str) -> None:
-    if not _NAME_RE.match(name):
+def _check_name(name, kind: str) -> None:
+    """The line format's one name rule: a str matching ``_NAME_RE``, else FormatError."""
+    if type(name) is not str or not _NAME_RE.match(name):
         raise FormatError(f"invalid {kind} name {name!r}")
-    if name in _RESERVED_NAMES:
-        article = "an" if kind[0] in "aeiou" else "a"
-        raise FormatError(f"reserved name {name!r} may not be used as {article} {kind}")
 
 
 @dataclass(frozen=True)
@@ -67,41 +65,38 @@ class Iolts(_Record):
     transitions: tuple[tuple[int, str, int], ...]
 
     def __post_init__(self):
+        def check_name(name, kind):
+            _check_name(name, kind)
+            if name in _RESERVED_NAMES:
+                article = "an" if kind[0] in "aeiou" else "a"
+                raise FormatError(f"reserved name {name!r} may not be used as {article} {kind}")
+
         if not self.states:
             raise FormatError("model has no states")
         names: set[str] = set()
         for name in self.states:
-            _check_name(name, "state")
+            check_name(name, "state")
             if name in names:
                 raise FormatError(f"duplicate state name {name!r}")
             names.add(name)
         seen: set[str] = set()
         for name in self.inputs:
-            _check_name(name, "input action")
+            check_name(name, "input action")
             if name in seen:
                 raise FormatError(f"duplicate action name {name!r}")
             seen.add(name)
         for name in self.outputs:
             if name != DELTA:
-                _check_name(name, "output action")
+                check_name(name, "output action")
             if name in seen:
                 raise FormatError(
                     f"alphabets not disjoint: {name!r}" if name in self.inputs
                     else f"duplicate action name {name!r}"
                 )
             seen.add(name)
-        if not 0 <= self.initial < len(self.states):
-            raise FormatError("initial state out of range")
-        labels = set(self.inputs) | set(self.outputs) | {TAU}
-        triples = set()
-        for src, label, dst in self.transitions:
-            if not (0 <= src < len(self.states) and 0 <= dst < len(self.states)):
-                raise FormatError("transition endpoint out of range")
-            if label not in labels:
-                raise FormatError(f"unknown label {label!r}")
-            if (src, label, dst) in triples:
-                raise FormatError("duplicate transition")
-            triples.add((src, label, dst))
+        self._check_moves(len(self.states), self.transitions, seen | {TAU}, "unknown label {!r}")
+        if len(set(self.transitions)) != len(self.transitions):
+            raise FormatError("duplicate transition")
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[tuple[str, int], ...], ...]:

@@ -31,7 +31,7 @@ from .iolts import (
     PASS,
     TAU,
     Iolts,
-    _NAME_RE,
+    _check_name,
     _read_sections,
     _serialize,
     _transition_lines,
@@ -163,7 +163,7 @@ def enumerate_fault_paths(g: Multigraph, limit: int) -> list[tuple[str, ...]]:
 
 def _tester_names(observed, emitted) -> set[str]:
     """A tester's action names; FormatError if its alphabets overlap, hold a reserved
-    name, emit delta, or hold a string that is not a name (the manifest types the rest)."""
+    name, emit delta, or hold a name the line format cannot carry (``_check_name``)."""
     names = set(observed) | set(emitted)
     if len(names) != len(observed) + len(emitted):
         raise FormatError("test purpose alphabets overlap")
@@ -171,13 +171,9 @@ def _tester_names(observed, emitted) -> set[str]:
         raise FormatError("reserved name used as a test purpose action")
     if DELTA in emitted:
         raise FormatError("delta belongs to the observed side of a test purpose")
-    _check_names([t for t in (*observed, *emitted) if type(t) is str])
+    for name in (*observed, *emitted):
+        _check_name(name, "test purpose")
     return names
-
-
-def _check_names(names) -> None:
-    if bad := [t for t in names if type(t) is not str or not _NAME_RE.match(t)]:
-        raise FormatError(f"invalid test purpose name {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,7 @@ class TestPurpose(_Record):
 
     Unlike a plain model, ``inputs`` legitimately contains delta here (the
     tester observes quiescence), so this is its own type rather than an Iolts.
-    The constructor checks ranges, and names by the line format's rule; ``step``
+    The constructor checks names and indices by the rules ``Iolts`` shares; ``step``
     and ``stimulus`` assume a sound tester, one ``tp_invariant_violations`` passes.
     """
 
@@ -203,17 +199,12 @@ class TestPurpose(_Record):
         if len(set(self.states)) != len(self.states):
             raise FormatError("duplicate state name in test purpose")
         names = _tester_names(self.inputs, self.outputs)
-        _check_names((*self.states, *self.inputs, *self.outputs))
+        for name in self.states:
+            _check_name(name, "test purpose")
         n = len(self.states)
-        if not 0 <= self.initial < n:
-            raise FormatError("initial state out of range")
-        for src, label, dst in self.transitions:
-            if label not in names:
-                raise FormatError(f"unknown label {label!r} in test purpose")
-            if not (0 <= src < n and 0 <= dst < n):
-                raise FormatError("transition endpoint out of range")
-        if not (0 <= self.pass_index < n and self.states[self.pass_index] == PASS
-                and 0 <= self.fail_index < n and self.states[self.fail_index] == FAIL):
+        self._check_moves(n, self.transitions, names, "unknown label {!r} in test purpose")
+        if not (self._is_index(self.pass_index, n) and self.states[self.pass_index] == PASS
+                and self._is_index(self.fail_index, n) and self.states[self.fail_index] == FAIL):
             raise FormatError("pass/fail indices must name the pass/fail states")
 
     @cached_property
@@ -475,17 +466,22 @@ def _at_path(i: int, build, *args):
 
 def _check_manifest(manifest) -> None:
     """FormatError if ``manifest``, a suite's JSON document, is not an object of
-    ``_MANIFEST_TYPES`` keys and types, token lists and values that agree."""
+    ``_MANIFEST_TYPES`` keys and types whose alphabets and paths are token lists."""
     if not isinstance(manifest, dict):
         raise FormatError("manifest.json must hold a JSON object")
     for key, kind in _MANIFEST_TYPES.items():
         if type(manifest.get(key)) is not kind:  # also rejects bool for int
             raise FormatError(f"manifest.json needs key {key!r} of type {kind.__name__}")
-    m, n, levels, limit, truncated, tp_count, inputs, outputs, paths = map(
-        manifest.get, _MANIFEST_TYPES)
+    *_, inputs, outputs, paths = map(manifest.get, _MANIFEST_TYPES)
     if not all(type(v) is list and all(type(t) is str for t in v)
                for v in (inputs, outputs, *paths)):
         raise FormatError("manifest.json alphabets and paths must be lists of tokens")
+
+
+def _check_manifest_values(manifest) -> None:
+    """FormatError unless the values of ``manifest``, which ``_check_manifest`` passed, agree."""
+    m, n, levels, limit, truncated, tp_count, _, outputs, paths = map(
+        manifest.get, _MANIFEST_TYPES)
     if DELTA not in outputs:
         raise FormatError("manifest.json outputs lack 'delta'")
     if tp_count != len(paths):
@@ -504,16 +500,20 @@ def write_fault_model(model: FaultModel, directory: str) -> None:
     """Write tp-NNNN.iolts files plus a manifest.json describing the run, and
     remove the tp-NNNN.iolts files numbered past the new suite; a model that
     ``read_fault_model`` refuses raises its FormatError before any writing:
-    paths and alphabets first, then ``_check_manifest`` on the manifest text."""
+    ``_check_manifest``, paths, alphabets, then ``_check_manifest_values``."""
+    try:
+        text = json.dumps(dict(zip(_MANIFEST_TYPES, (  # JSON spells the tuples as lists
+            model.m, model.n, model.levels, model.limit, model.truncated, len(model.paths),
+            model.inputs, model.outputs, model.paths))), indent=2) + "\n"
+    except ValueError:  # an integer too long to spell, which read cannot read either
+        raise FormatError("manifest.json is not readable JSON") from None
+    _check_manifest(manifest := json.loads(text))
     testers = _Testers(model.inputs, (t for t in model.outputs if t != DELTA))
     for i, path in enumerate(model.paths):
         _at_path(i, testers.edges, path)
         if i == 0:  # reading checks the alphabets at its first tester
             _at_path(0, _tester_names, testers.observed, testers.emitted)
-    text = json.dumps(dict(zip(_MANIFEST_TYPES, (  # JSON spells the tuples as lists
-        model.m, model.n, model.levels, model.limit, model.truncated, len(model.paths),
-        model.inputs, model.outputs, model.paths))), indent=2) + "\n"
-    _check_manifest(json.loads(text))
+    _check_manifest_values(manifest)
     os.makedirs(directory, exist_ok=True)
     for i, path in enumerate(model.paths):
         with open(os.path.join(directory, _tp_file(i)), "w", encoding="utf-8") as fh:
@@ -528,8 +528,8 @@ def write_fault_model(model: FaultModel, directory: str) -> None:
 
 def read_fault_model(directory: str) -> FaultModel:
     """Load a directory written by ``write_fault_model``, rebuilding each tester
-    from its manifest path; FormatError on a manifest ``_check_manifest`` refuses
-    or on a tester file that differs from what write writes for that path."""
+    from its manifest path; FormatError on a manifest the two manifest checks
+    refuse or on a tester file that differs from what write writes for that path."""
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -538,6 +538,7 @@ def read_fault_model(directory: str) -> FaultModel:
         except ValueError:  # bad JSON or UTF-8, or an integer too long to convert
             raise FormatError("manifest.json is not readable JSON") from None
     _check_manifest(manifest)
+    _check_manifest_values(manifest)
     m, n, _, limit, truncated, _, inputs, outputs, paths = map(manifest.get, _MANIFEST_TYPES)
     paths = tuple(map(tuple, paths))
     testers = _Testers(inputs, (t for t in outputs if t != DELTA))

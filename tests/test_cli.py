@@ -547,3 +547,12 @@ def test_flag_and_pair_errors_name_no_file(files, capsys, argv, message):
     argv = [arg.format(m1=files["m1"], four=files["four"], dir=files["dir"]) for arg in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_gen_suite_refuses_a_bound_too_long_for_its_manifest(files, tmp_path, capsys):
+    """``-m`` of 4,300 nines makes ``levels`` too long for JSON to spell: exit 2
+    with read's one-line message naming manifest.json, and no directory."""
+    target = tmp_path / "huge"
+    assert main(["gen-suite", "--spec", files["m1"], "-m", "9" * 4300, "-o", str(target)]) == 2
+    assert capsys.readouterr().err == "error: manifest.json is not readable JSON\n"
+    assert not target.exists()

@@ -681,3 +681,31 @@ def test_write_and_read_refuse_a_name_the_line_format_cannot_carry(m1, tmp_path)
     (base / "manifest.json").write_text(json.dumps(_hand_manifest(broken)))
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         read_fault_model(str(base))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("int-token", "manifest.json alphabets and paths must be lists of tokens"),
+    ("over-long-m", "manifest.json is not readable JSON"),
+], ids=["int-token", "over-long-m"])
+def test_write_and_read_refuse_what_json_cannot_type_or_spell(m1, tmp_path, case, message):
+    """A path token that is not a string, met by write before its path checks,
+    and an ``m`` too long for JSON to spell are refused by write with read's
+    message, and nothing is written."""
+    model = generate_fault_model(m1, 2, 3)
+    base = tmp_path / "read"
+    write_fault_model(model, str(base))
+    manifest = _hand_manifest(model)
+    if case == "int-token":
+        broken = replace(model, paths=(model.paths[0], ("a", 3), model.paths[2]))
+        manifest["paths"][1] = ["a", 3]
+        text = json.dumps(manifest)
+    else:
+        broken = replace(model, m=10**5000)
+        text = json.dumps(manifest).replace('"m": 2,', '"m": 1' + "0" * 5000 + ",", 1)
+    target = tmp_path / "written"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        write_fault_model(broken, str(target))
+    assert not target.exists()
+    (base / "manifest.json").write_text(text)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read_fault_model(str(base))
