@@ -41,10 +41,11 @@ _OPERATORS = ("(", ")", "|", "*")
 _EMPTY_WORD = "%empty"
 _FINITE_DIRECTIVE = "#finite"
 _MAX_NESTING = 100  # most parentheses open at once in a regex
+_CONTAINERS = {kind.__name__: kind for kind in (tuple, frozenset, dict)}
 
 
 class _Record:
-    """Base of the package's frozen records and of their one index and move rule.
+    """Base of the package's frozen records and of their one container, index and move rule.
     ``_built(*values)`` makes one from its field values in declaration order
     without ``__post_init__``'s checks, for a record derived from checked ones."""
 
@@ -53,6 +54,13 @@ class _Record:
         record = object.__new__(cls)
         record.__dict__.update(zip(cls.__dataclass_fields__, values))
         return record
+
+    def _check_containers(self) -> None:
+        """The one container rule: a ``tuple[…]``, ``frozenset[…]`` or ``dict[…]`` field holds one."""
+        for name, field in self.__dataclass_fields__.items():
+            kind = _CONTAINERS.get(str(field.type).partition("[")[0])
+            if kind and not isinstance(getattr(self, name), kind):
+                raise FormatError(f"{type(self).__name__} {name} must be a {kind.__name__}")
 
     @staticmethod
     def _is_index(i, n: int) -> bool:
@@ -63,7 +71,10 @@ class _Record:
         """The one move rule: initial state and move ends are indices, labels in ``labels``."""
         if not self._is_index(self.initial, n):
             raise FormatError("initial state out of range")
-        for src, label, dst in moves:
+        for move in moves:
+            if type(move) is not tuple or len(move) != 3:
+                raise FormatError(f"transition {move!r} is not a (source, label, target) triple")
+            src, label, dst = move
             if not (self._is_index(src, n) and self._is_index(dst, n)):
                 raise FormatError("transition endpoint out of range")
             if label not in labels:
@@ -88,11 +99,12 @@ class Dfsa(_Record):
     complete: bool = False
 
     def __post_init__(self):
+        self._check_containers()
         if len(set(self.alphabet)) != len(self.alphabet):
             raise FormatError("duplicate token in automaton alphabet")
         if type(self.n_states) is not int or self.n_states < 1:
             raise FormatError("automaton needs at least one state")
-        self._check_moves(self.n_states, ((s, t, d) for (s, t), d in self.transitions.items()),
+        self._check_moves(self.n_states, ((*k, d) for k, d in self.transitions.items()),
                           set(self.alphabet), "transition token {!r} not in alphabet")
         if not all(self._is_index(s, self.n_states) for s in self.accepting):
             raise FormatError("accepting state out of range")
@@ -492,7 +504,7 @@ def compile_regex(src: str, alphabet: Sequence[str]) -> Dfsa:
     if len(set(alpha)) != len(alpha):
         raise FormatError("duplicate token in regex alphabet")
     for tok in alpha:
-        if not tok or any(c.isspace() for c in tok) or tok in _OPERATORS or tok == _EMPTY_WORD:
+        if type(tok) is not str or tok.split() != [tok] or tok in (*_OPERATORS, _EMPTY_WORD):
             raise FormatError(f"invalid alphabet token {tok!r}")
     finite, lines = _split_source(src)
     tokens_set = set(alpha)

@@ -71,6 +71,7 @@ class Iolts(_Record):
                 article = "an" if kind[0] in "aeiou" else "a"
                 raise FormatError(f"reserved name {name!r} may not be used as {article} {kind}")
 
+        self._check_containers()
         if not self.states:
             raise FormatError("model has no states")
         names: set[str] = set()

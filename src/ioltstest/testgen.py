@@ -117,9 +117,9 @@ class Multigraph:
 def build_multigraph(spec: Iolts, m: int) -> Multigraph:
     """Unroll ``spec`` into the m*n+1 level fault multigraph.
 
-    Requires a deterministic, quiescence-completed specification and m >= 1.
+    Requires a deterministic, quiescence-completed specification and an int m >= 1.
     """
-    if m < 1:
+    if type(m) is not int or m < 1:  # the manifest's rule: a bool is no int
         raise ValueError("state bound m must be >= 1")
     if not spec.is_quiescence_completed:
         raise FormatError("multigraph construction requires a quiescence-completed model")
@@ -143,7 +143,7 @@ def enumerate_fault_paths(g: Multigraph, limit: int) -> list[tuple[str, ...]]:
     order.  Enumeration stops after ``limit`` paths.  A multigraph without
     fail edges (a specification with no outputs but delta) has none.
     """
-    if limit < 1:
+    if type(limit) is not int or limit < 1:
         raise ValueError("path limit must be >= 1")
     paths: list[tuple[str, ...]] = []
     if not any(j == FAIL for row in g.rows for _, j in row):
@@ -196,6 +196,7 @@ class TestPurpose(_Record):
     fail_index: int
 
     def __post_init__(self):
+        self._check_containers()
         if len(set(self.states)) != len(self.states):
             raise FormatError("duplicate state name in test purpose")
         names = _tester_names(self.inputs, self.outputs)
@@ -413,7 +414,7 @@ def generate_fault_model(spec: Iolts, m: int, limit: int = 1000) -> FaultModel:
     """
     cs = ensure_quiescence(spec)
     g = build_multigraph(cs, m)
-    if limit < 1:
+    if type(limit) is not int or limit < 1:
         raise ValueError("path limit must be >= 1")
     # one path past the limit tells whether the model is truncated
     paths = enumerate_fault_paths(g, limit + 1)
@@ -456,32 +457,41 @@ def _tp_file(i: int) -> str:
     return f"tp-{i:04d}.iolts"
 
 
-def _at_path(i: int, build, *args):
-    """``build(*args)`` for a suite's i-th path; its FormatError names the path."""
+def _json(convert, *args, **kwargs):
+    """``convert(*args, **kwargs)``, a suite document's JSON dump or load, with read's errors."""
     try:
-        return build(*args)
-    except FormatError as exc:
-        raise FormatError(f"manifest.json path {i}: {exc}") from None
+        return convert(*args, **kwargs)
+    except RecursionError:
+        raise FormatError("manifest.json is nested too deeply") from None
+    except ValueError:  # bad JSON or UTF-8, or an integer too long to spell or convert
+        raise FormatError("manifest.json is not readable JSON") from None
 
 
-def _check_manifest(manifest) -> None:
-    """FormatError if ``manifest``, a suite's JSON document, is not an object of
-    ``_MANIFEST_TYPES`` keys and types whose alphabets and paths are token lists."""
+def _open_suite(manifest, build) -> tuple:
+    """The one entry step of ``manifest``, the suite document write writes and read
+    reads: FormatError unless, in this order, it is an object of ``_MANIFEST_TYPES``
+    keys and types with token-list alphabets and paths, each path passes ``build``
+    (a ``_Testers`` method) and path 0 the alphabets, and the six value rules hold.
+    Returns the builder, the paths as tuples, and what ``build`` made of each."""
     if not isinstance(manifest, dict):
         raise FormatError("manifest.json must hold a JSON object")
     for key, kind in _MANIFEST_TYPES.items():
         if type(manifest.get(key)) is not kind:  # also rejects bool for int
             raise FormatError(f"manifest.json needs key {key!r} of type {kind.__name__}")
-    *_, inputs, outputs, paths = map(manifest.get, _MANIFEST_TYPES)
+    m, n, levels, limit, truncated, tp_count, inputs, outputs, paths = map(
+        manifest.get, _MANIFEST_TYPES)
     if not all(type(v) is list and all(type(t) is str for t in v)
                for v in (inputs, outputs, *paths)):
         raise FormatError("manifest.json alphabets and paths must be lists of tokens")
-
-
-def _check_manifest_values(manifest) -> None:
-    """FormatError unless the values of ``manifest``, which ``_check_manifest`` passed, agree."""
-    m, n, levels, limit, truncated, tp_count, _, outputs, paths = map(
-        manifest.get, _MANIFEST_TYPES)
+    testers = _Testers(inputs, (t for t in outputs if t != DELTA))
+    paths, built = tuple(map(tuple, paths)), []
+    for i, path in enumerate(paths):
+        try:
+            built.append(build(testers, path))
+            if i == 0:  # the alphabets, as the first tester built checks them
+                _tester_names(testers.observed, testers.emitted)
+        except FormatError as exc:
+            raise FormatError(f"manifest.json path {i}: {exc}") from None
     if DELTA not in outputs:
         raise FormatError("manifest.json outputs lack 'delta'")
     if tp_count != len(paths):
@@ -494,59 +504,41 @@ def _check_manifest_values(manifest) -> None:
         raise FormatError("manifest.json is truncated with fewer paths than its limit")
     if levels != m * n + 1:
         raise FormatError("manifest.json needs levels of m*n + 1")
+    return testers, paths, built
 
 
 def write_fault_model(model: FaultModel, directory: str) -> None:
     """Write tp-NNNN.iolts files plus a manifest.json describing the run, and
     remove the tp-NNNN.iolts files numbered past the new suite; a model that
-    ``read_fault_model`` refuses raises its FormatError before any writing:
-    ``_check_manifest``, paths, alphabets, then ``_check_manifest_values``."""
-    try:
-        text = json.dumps(dict(zip(_MANIFEST_TYPES, (  # JSON spells the tuples as lists
-            model.m, model.n, model.levels, model.limit, model.truncated, len(model.paths),
-            model.inputs, model.outputs, model.paths))), indent=2) + "\n"
-    except ValueError:  # an integer too long to spell, which read cannot read either
-        raise FormatError("manifest.json is not readable JSON") from None
-    _check_manifest(manifest := json.loads(text))
-    testers = _Testers(model.inputs, (t for t in model.outputs if t != DELTA))
-    for i, path in enumerate(model.paths):
-        _at_path(i, testers.edges, path)
-        if i == 0:  # reading checks the alphabets at its first tester
-            _at_path(0, _tester_names, testers.observed, testers.emitted)
-    _check_manifest_values(manifest)
+    ``read_fault_model`` refuses raises its FormatError before any writing, as
+    both run the manifest text through ``_open_suite`` (paths by ``_Testers.edges``)."""
+    text = _json(json.dumps, dict(zip(_MANIFEST_TYPES, (  # JSON spells the tuples as lists
+        model.m, model.n, model.levels, model.limit, model.truncated, len(model.paths),
+        model.inputs, model.outputs, model.paths))), indent=2) + "\n"
+    testers, paths, _ = _open_suite(json.loads(text), _Testers.edges)
     os.makedirs(directory, exist_ok=True)
-    for i, path in enumerate(model.paths):
+    for i, path in enumerate(paths):
         with open(os.path.join(directory, _tp_file(i)), "w", encoding="utf-8") as fh:
             fh.write(testers.text(path))
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(text)
     for name in os.listdir(directory):  # testers of an earlier, longer suite
         i = name[3:-6]
-        if i.isdecimal() and name == _tp_file(int(i)) and int(i) >= len(model.paths):
+        if i.isdecimal() and name == _tp_file(int(i)) and int(i) >= len(paths):
             os.remove(os.path.join(directory, name))
 
 
 def read_fault_model(directory: str) -> FaultModel:
     """Load a directory written by ``write_fault_model``, rebuilding each tester
-    from its manifest path; FormatError on a manifest the two manifest checks
-    refuse or on a tester file that differs from what write writes for that path."""
+    from its manifest path; FormatError on a manifest ``_open_suite`` refuses, with
+    write's message, or then on a tester file that differs from what write writes."""
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except RecursionError:
-            raise FormatError("manifest.json is nested too deeply") from None
-        except ValueError:  # bad JSON or UTF-8, or an integer too long to convert
-            raise FormatError("manifest.json is not readable JSON") from None
-    _check_manifest(manifest)
-    _check_manifest_values(manifest)
-    m, n, _, limit, truncated, _, inputs, outputs, paths = map(manifest.get, _MANIFEST_TYPES)
-    paths = tuple(map(tuple, paths))
-    testers = _Testers(inputs, (t for t in outputs if t != DELTA))
-    tps = []
+        manifest = _json(json.load, fh)
+    testers, paths, tps = _open_suite(manifest, _Testers.tester)
     for i, path in enumerate(paths):
-        tps.append(_at_path(i, testers.tester, path))
         name = _tp_file(i)
         with open(os.path.join(directory, name), "rb") as fh:
             if fh.read() != testers.text(path).encode("utf-8"):
                 raise FormatError(f"{name} differs from the tester of its manifest path")
-    return FaultModel(tuple(tps), paths, m, n, limit, truncated, tuple(inputs), tuple(outputs))
+    return FaultModel(tuple(tps), paths, *map(manifest.get, ("m", "n", "limit", "truncated")),
+                      testers.emitted, tuple(manifest["outputs"]))

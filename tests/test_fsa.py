@@ -201,6 +201,14 @@ def test_compile_rejects_bad_sources(src):
         compile_regex(src, ("a", "b"))
 
 
+@pytest.mark.parametrize("token", ["", "a b", "|", "%empty", 1, None, ("a",)])
+def test_compile_refuses_bad_alphabet_tokens(token):
+    """A token that is not a non-blank, operator-free string is refused by the
+    token check, whatever its type."""
+    with pytest.raises(FormatError, match=f"^invalid alphabet token {re.escape(repr(token))}$"):
+        compile_regex("a", ("a", token))
+
+
 def chain(word, alphabet=ABX):
     """The partial automaton accepting exactly ``word``."""
     trans = {(i, tok): i + 1 for i, tok in enumerate(word)}

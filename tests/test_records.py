@@ -56,6 +56,34 @@ def test_constructors_refuse_what_they_cannot_use(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Iolts("s0", 0, (), (), ()), "Iolts states must be a tuple"),
+    (lambda: Iolts(["s0", "s1"], 0, (), (), ()), "Iolts states must be a tuple"),
+    (lambda: Iolts(("s0",), 0, ["a"], (), ()), "Iolts inputs must be a tuple"),
+    (lambda: Iolts(("s0",), 0, ("a",), (), [(0, "a", 0)]), "Iolts transitions must be a tuple"),
+    (lambda: Iolts(("s0",), 0, ("a",), (), ((0, "a"),)),
+     "transition (0, 'a') is not a (source, label, target) triple"),
+    (lambda: Iolts(("s0",), 0, ("a",), (), ([0, "a", 0],)),
+     "transition [0, 'a', 0] is not a (source, label, target) triple"),
+    (lambda: replace(TESTER, states=list(TESTER.states)), "TestPurpose states must be a tuple"),
+    (lambda: replace(TESTER, transitions=TESTER.transitions + ((0, "x", 1, 2),)),
+     "transition (0, 'x', 1, 2) is not a (source, label, target) triple"),
+    (lambda: Dfsa(("a",), 1, 0, frozenset(), [((0, "a"), 0)]), "Dfsa transitions must be a dict"),
+    (lambda: Dfsa(("a",), 1, 0, {0}, {}), "Dfsa accepting must be a frozenset"),
+    (lambda: Dfsa(["a"], 1, 0, frozenset(), {}), "Dfsa alphabet must be a tuple"),
+    (lambda: Dfsa(("a",), 1, 0, frozenset(), {(0,): 0}),
+     "transition (0, 0) is not a (source, label, target) triple"),
+], ids=["iolts-str-states", "iolts-list-states", "iolts-list-inputs", "iolts-list-moves",
+        "iolts-short-move", "iolts-list-move", "tp-list-states", "tp-long-move",
+        "dfsa-list-moves", "dfsa-set-accepting", "dfsa-list-alphabet", "dfsa-short-key"])
+def test_constructors_refuse_the_wrong_containers(build, message):
+    """Each field declared a tuple, frozenset or dict must hold one, and each
+    move must be a (source, label, target) tuple, before any other check: a
+    string of states would read as its characters, a list is unhashable."""
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 # every message the three constructors raise, whole
 _MESSAGES = re.compile("|".join((
     r"model has no states", r"invalid (state|input action|output action) name .*",

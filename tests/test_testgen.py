@@ -346,6 +346,25 @@ def test_replay_rejects_words_the_multigraph_lacks(m1):
         g.replay(["a", "a"])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda m1, g: enumerate_fault_paths(g, 1.5), "path limit must be >= 1"),
+    (lambda m1, g: enumerate_fault_paths(g, True), "path limit must be >= 1"),
+    (lambda m1, g: generate_fault_model(m1, 2, 2.5), "path limit must be >= 1"),
+    (lambda m1, g: generate_fault_model(m1, 2, True), "path limit must be >= 1"),
+    (lambda m1, g: generate_fault_model(m1, 2.5, 3), "state bound m must be >= 1"),
+    (lambda m1, g: generate_fault_model(m1, True, 3), "state bound m must be >= 1"),
+    (lambda m1, g: build_multigraph(ensure_quiescence(m1), 2.0), "state bound m must be >= 1"),
+], ids=["paths-float", "paths-bool", "model-float-limit", "model-bool-limit",
+        "model-float-m", "model-bool-m", "multigraph-float-m"])
+def test_generators_take_int_bounds_only(m1, call, message):
+    """``m`` and ``limit`` are ints of at least 1, a bool not counting, as in
+    the manifest: a float limit would never be reached, and a float or bool m
+    would make a model that ``write_fault_model`` refuses."""
+    g = build_multigraph(ensure_quiescence(m1), 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(m1, g)
+
+
 def test_path_limit_must_be_positive(m1):
     g = build_multigraph(ensure_quiescence(m1), 2)
     with pytest.raises(ValueError, match="^path limit must be >= 1$"):
@@ -582,6 +601,36 @@ def test_write_and_read_refuse_the_same_models(tmp_path):
                        "within-limit", "truncated-full", "overlap", "reserved",
                        "path-0", "path-1"}
     assert "none" in accepted
+
+
+def test_write_and_read_report_the_same_first_of_two_faults(m1, tmp_path):
+    """Oracle: on seeded suites that break one path rule and one value rule,
+    writing fails exactly as reading the hand-built manifest fails: both name
+    the bad path first, and write creates nothing."""
+    bad = replace(generate_fault_model(m1, 2, 3), limit=1, truncated=True)
+    bad = replace(bad, paths=(bad.paths[0], ("a",)))
+    cases = [(bad, "manifest.json path 1: fault path must end with an output or delta")]
+    for seed in range(8):
+        spec = random_iolts(GenParams(states=2 + seed % 3, inputs=1 + seed % 2,
+                                      outputs=1 + seed % 2, seed=seed))
+        model = generate_fault_model(spec, m=1 + seed % 2, limit=4 + seed % 3)
+        paths, i = model.paths, len(model.paths) - 1
+        for path, message in (((), "fault path is empty"),
+                              (paths[i][:-1] + (model.inputs[-1],),
+                               "fault path must end with an output or delta"),
+                              (("zz",) + paths[i], "fault path label 'zz' not in the alphabet")):
+            broken = replace(model, paths=paths[:i] + (path,))
+            for values in (dict(limit=i), dict(limit=i + 2, truncated=True), dict(m=0),
+                           dict(outputs=tuple(t for t in model.outputs if t != DELTA))):
+                cases.append((replace(broken, **values), f"manifest.json path {i}: {message}"))
+    base = tmp_path / "base"
+    write_fault_model(generate_fault_model(m1, 2, 3), str(base))
+    for k, (broken, message) in enumerate(cases):
+        target = tmp_path / f"written-{k}"
+        written = _outcome(lambda: write_fault_model(broken, str(target)))
+        (base / "manifest.json").write_text(json.dumps(_hand_manifest(broken)))
+        assert written == _outcome(lambda: read_fault_model(str(base))) == ("error", message)
+        assert not target.exists()
 
 
 @pytest.mark.parametrize("fields, message", [
