@@ -11,6 +11,10 @@ keys that keeps every move in one flat edge list.  With D = otr(spec) extended
 by one output and F empty it coincides with ioco, which the test suite
 exploits as a cross-oracle and ``check_ioco`` uses for its transition cover.
 Both routes open with one entry step, ``_open``, that checks their inputs once.
+
+The single-witness searches step det models on demand (``_Stepped``), only
+the subsets they reach, in the order of the whole det models, so the witness
+is the same; det(spec) of a suite and both det models of a cover are whole.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .errors import AlphabetMismatchError
 from .fsa import (
     Dfsa,
     _first_word,
-    _product_moves,
     _require_shared_alphabet,
     _search_dfsa,
     empty_language,
@@ -34,7 +37,11 @@ WITNESS_STRATEGIES = ("single", "cover")
 @dataclass(frozen=True)
 class SuiteStats:
     """Automaton sizes behind a verdict; suite fields are None when no suite
-    automaton was built (the direct ioco path)."""
+    automaton was built (the direct ioco path).
+
+    ``spec_states`` and ``iut_states`` are whole det sizes where the verdict
+    builds that det model whole, else the subsets its search stepped (0 on the
+    IUT side of ``check_lang`` when the empty word is the fault)."""
 
     spec_states: int
     iut_states: int
@@ -65,15 +72,27 @@ def verdict_json(v: Verdict, relation: str) -> dict:
     }
 
 
-def _open(spec: Iolts, iut: Iolts, witness: str) -> tuple[Iolts, Dfsa, Dfsa]:
+def _open(spec: Iolts, iut: Iolts, witness: str) -> tuple[Iolts, Iolts]:
     """The entry step of a verdict: check the witness strategy and the pair's
-    alphabets (delta aside); return the spec's completion and both det models."""
+    alphabets (delta aside); return both quiescence completions."""
     if witness not in WITNESS_STRATEGIES:
         raise ValueError(f"unknown witness strategy {witness!r}")
     cs, ci = ensure_quiescence(spec), ensure_quiescence(iut)  # both gain delta
     if set(cs.inputs) != set(ci.inputs) or set(cs.outputs) != set(ci.outputs):
         raise AlphabetMismatchError("specification and implementation alphabets differ")
-    return cs, determinize(cs), determinize(ci)
+    return cs, ci
+
+
+class _Stepped(dict):
+    """det(m) stepped on demand for one verdict: maps each subset mask it was
+    asked for to its ``{token: mask}`` row; ``start`` is the initial mask."""
+
+    def __init__(self, m: Iolts):
+        self.step, self.start = m._subsets.step, m._subsets.reach[m.initial]
+
+    def __missing__(self, mask: int) -> dict[str, int]:
+        row = self[mask] = self.step(mask)
+        return row
 
 
 def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
@@ -85,35 +104,38 @@ def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
     enabled on both sides (an implementation-only output is a fault), inputs
     advance only when enabled on both sides, and implementation states lacking
     a specified input silently truncate exploration (no obligation there).
+    Both models are determinized on demand, as far as the search reaches.
 
     ``witness`` selects "single" (shortest fault word) or "cover": once a
     fault is found, ``check_lang`` with D = ``ioco_desirable_language(spec)``
     and F empty, whose transition cover gives several words per fault region.
     """
-    cs, ds, di = _open(spec, iut, witness)
-    outputs = set(cs.outputs)
-    spec_step, iut_step = ds.transitions.get, di.transitions.get
+    cs, ci = _open(spec, iut, witness)
+    alphabet, outputs = cs.observable_alphabet, set(cs.outputs)
+    spec_rows, iut_rows = _Stepped(cs), _Stepped(ci)
 
     def moves(pair):
         s, q = pair
-        for tok in ds.alphabet:
-            q2 = iut_step((q, tok))
+        spec_row, iut_row = spec_rows[s], iut_rows[q]
+        for tok in alphabet:
+            q2 = iut_row.get(tok)
             if q2 is None:
                 continue
-            s2 = spec_step((s, tok))
+            s2 = spec_row.get(tok)
             if s2 is not None:
                 yield tok, (s2, q2)
             elif tok in outputs:
                 yield tok, FAIL  # the multigraph's fail node
 
-    first_fault = _first_word((ds.initial, di.initial), moves, lambda key: key is FAIL)
-    stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet))
+    first_fault = _first_word((spec_rows.start, iut_rows.start), moves,
+                              lambda key: key is FAIL)
+    stats = SuiteStats(len(spec_rows), len(iut_rows), len(alphabet))
     if first_fault is None:
         return Verdict(True, (), stats)
     if witness == "single":
         return Verdict(False, (first_fault,), stats)
     return check_lang(spec, iut, ioco_desirable_language(spec),
-                      empty_language(ds.alphabet), "cover")
+                      empty_language(alphabet), "cover")
 
 
 def ioco_desirable_language(spec: Iolts) -> Dfsa:
@@ -173,21 +195,34 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
                witness: str = "single") -> Verdict:
     """Language-based conformance: no implementation trace may be desirable-
     but-unspecified or forbidden-but-specified."""
-    _, ds, di = _open(spec, iut, witness)
+    cs, ci = _open(spec, iut, witness)
     suite = build_fault_suite(spec, d, f)
-    # ties break in the suite's order, not the IUT's
-    di = Dfsa._built(suite.alphabet, di.n_states, di.initial, di.accepting, di.transitions,
-                     di.complete)
     completed_sizes = (a.n_states + (len(a.transitions) != a.n_states * len(a.alphabet))
                        for a in (d, f))  # complete(a).n_states, without completing
-    stats = SuiteStats(ds.n_states, di.n_states, len(ds.alphabet), *completed_sizes,
-                       suite.n_states)
     if witness == "cover":
+        di = determinize(ci)
+        # ties break in the suite's order, not the IUT's
+        di = Dfsa._built(suite.alphabet, di.n_states, di.initial, di.accepting,
+                         di.transitions, di.complete)
         words = tuple(witnesses_transition_cover(di, suite))
-    else:  # search intersect(di, suite) unbuilt; every det(IUT) state accepts
-        w = _first_word((di.initial, suite.initial), _product_moves(di, suite),
+        iut_states = di.n_states
+    else:
+        # search det(IUT) x suite unbuilt, det(IUT) on demand; every det(IUT)
+        # state accepts, and ties break in the suite's order, not the IUT's
+        iut_rows = _Stepped(ci)
+        suite_step = suite.transitions.get
+
+        def moves(pair):  # the suite is complete
+            q, b = pair
+            row = iut_rows[q]
+            return [(tok, (row[tok], suite_step((b, tok)))) for tok in suite.alphabet
+                    if tok in row]
+
+        w = _first_word((iut_rows.start, suite.initial), moves,
                         lambda key: key[1] in suite.accepting)
-        words = () if w is None else (w,)
+        words, iut_states = () if w is None else (w,), len(iut_rows)
+    stats = SuiteStats(determinize(cs).n_states, iut_states, len(suite.alphabet),
+                       *completed_sizes, suite.n_states)
     return Verdict(not words, words, stats)
 
 

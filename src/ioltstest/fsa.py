@@ -18,11 +18,11 @@ breadth-first core numbers both results like every other automaton, so equal
 languages compile to identical automata.
 
 Nondeterministic automata have one encoding, adjacency rows of
-``(label, target)`` moves, and one subset construction, ``_subset_dfsa``,
-shared by compiled regexes and ``iolts.determinize`` (``tau`` is silent).  It
-tabulates each state's closed moves once per call: per token, the bitmask of
-the silent closure of the state's targets.  A subset is an int bitmask; it
-steps by OR-ing its members' masks, and its acceptance is read off the mask.
+``(label, target)`` moves, and one subset table, ``_SubsetTable``, shared by
+compiled regexes (one per call) and ``iolts.determinize`` (cached per model;
+``tau`` is silent).  It holds each state's closed moves: per token, the bitmask
+of the silent closure of the state's targets.  A subset is an int bitmask; its
+one stepping rule ORs its members' masks, and its acceptance is read off the mask.
 Automata built here skip the constructor's checks (``Dfsa._built``, the one
 unchecked builder of the package's records, ``_Record``).  The regex parser
 reads the tokens in one loop over a stack of open groups (at most 100) and
@@ -100,10 +100,16 @@ class Dfsa(_Record):
 
     def __post_init__(self):
         self._check_containers()
+        for tok in self.alphabet:
+            if type(tok) is not str:
+                raise FormatError(f"automaton token {tok!r} is not a string")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise FormatError("duplicate token in automaton alphabet")
         if type(self.n_states) is not int or self.n_states < 1:
             raise FormatError("automaton needs at least one state")
+        for key in self.transitions:  # the move rule then checks a key's length
+            if type(key) is not tuple:
+                raise FormatError(f"transition key {key!r} is not a (state, token) tuple")
         self._check_moves(self.n_states, ((*k, d) for k, d in self.transitions.items()),
                           set(self.alphabet), "transition token {!r} not in alphabet")
         if not all(self._is_index(s, self.n_states) for s in self.accepting):
@@ -182,15 +188,43 @@ def _first_word(start, successors, goal) -> tuple[str, ...] | None:
     return None
 
 
-def _subset_dfsa(rows, internal, start: int, alphabet: tuple[str, ...], accepts) -> Dfsa:
-    """Subset construction over adjacency rows: ``rows[s]`` lists the
-    ``(label, target)`` moves of state s, and moves labelled ``internal`` are
-    silent.  A key is the int bitmask (bit s for state s) of a set closed
-    under silent moves, so a label with no targets is a missing move, never an
-    empty subset; key k accepts iff accepts(k).  The table ``closed[s][i]``
-    holds the mask of the silent closure of s's targets on ``alphabet[i]``; a
-    key steps to the OR of its members' masks, found by walking its set bits."""
-    reach = []  # reach[s]: the mask of the silent closure of s
+@dataclass(frozen=True, eq=False)
+class _SubsetTable:
+    """``reach[s]`` is the mask (bit s for state s) of the silent closure of s;
+    ``closed[s][i]`` the mask of the silent closure of s's targets on ``alphabet[i]``."""
+
+    alphabet: tuple[str, ...]
+    reach: tuple[int, ...]
+    closed: tuple[tuple[int, ...], ...]
+
+    def step(self, key: int) -> dict[str, int]:
+        """The ``{token: mask}`` row of subset ``key`` in alphabet order: the OR
+        of its members' masks, found by walking its set bits, where not 0."""
+        closed, members = self.closed, []
+        while key:
+            low = key & -key
+            members.append(closed[low.bit_length() - 1])
+            key ^= low
+        row = {}
+        for i, tok in enumerate(self.alphabet):
+            mask = 0
+            for masks in members:
+                mask |= masks[i]
+            if mask:
+                row[tok] = mask
+        return row
+
+    def dfsa(self, start: int, accepts) -> Dfsa:
+        """Every subset reached from state ``start``; key k accepts iff accepts(k)."""
+        step = self.step
+        return _search_dfsa(self.alphabet, self.reach[start], lambda key: step(key).items(),
+                            accepts)
+
+
+def _subset_table(rows, internal, alphabet: tuple[str, ...]) -> _SubsetTable:
+    """The table of ``rows[s]``, the ``(label, target)`` moves of state s;
+    moves labelled ``internal`` are silent."""
+    reach = []
     for s in range(len(rows)):
         mask, stack = 1 << s, [s]
         while stack:
@@ -205,21 +239,13 @@ def _subset_dfsa(rows, internal, start: int, alphabet: tuple[str, ...], accepts)
         for label, t in row:
             if label != internal:
                 closed[s][column[label]] |= reach[t]
+    return _SubsetTable(alphabet, tuple(reach), tuple(map(tuple, closed)))
 
-    def moves(key):
-        members = []
-        while key:
-            low = key & -key
-            members.append(closed[low.bit_length() - 1])
-            key ^= low
-        for i, tok in enumerate(alphabet):
-            mask = 0
-            for row in members:
-                mask |= row[i]
-            if mask:
-                yield tok, mask
 
-    return _search_dfsa(alphabet, reach[start], moves, accepts)
+def _subset_dfsa(rows, internal, start: int, alphabet: tuple[str, ...], accepts) -> Dfsa:
+    """Subset construction over adjacency rows, on a table built for this call.
+    A label with no targets is a missing move, never an empty subset."""
+    return _subset_table(rows, internal, alphabet).dfsa(start, accepts)
 
 
 def empty_language(alphabet: Sequence[str]) -> Dfsa:
@@ -501,11 +527,11 @@ def compile_regex(src: str, alphabet: Sequence[str]) -> Dfsa:
     Raises FormatError on syntax errors or literals outside ``alphabet``.
     """
     alpha = tuple(alphabet)
-    if len(set(alpha)) != len(alpha):
-        raise FormatError("duplicate token in regex alphabet")
     for tok in alpha:
         if type(tok) is not str or tok.split() != [tok] or tok in (*_OPERATORS, _EMPTY_WORD):
             raise FormatError(f"invalid alphabet token {tok!r}")
+    if len(set(alpha)) != len(alpha):
+        raise FormatError("duplicate token in regex alphabet")
     finite, lines = _split_source(src)
     tokens_set = set(alpha)
     if not lines:

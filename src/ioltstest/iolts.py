@@ -6,8 +6,9 @@ Quiescence (no outputs and no internal moves at a state) is made observable by
 adding a ``delta`` self-loop there, after which the observable behavior of a
 model is the prefix-closed set of its tau-free label sequences.
 ``determinize`` builds that set as an automaton by the subset construction
-of ``fsa`` over the model's adjacency rows; ``traces_bounded`` enumerates it
-with its own tau-closure, so each cross-checks the other.
+of ``fsa`` over the model's adjacency rows, from a subset table the model
+caches and the conformance checks also step on demand; ``traces_bounded``
+enumerates it with its own tau-closure, so each cross-checks the other.
 
 The line format of models and testers has its one reader, ``_read_sections``,
 its one writer, ``_serialize``, and its one name rule, ``_check_name``, here.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import FormatError
-from .fsa import Dfsa, _Record, _subset_dfsa
+from .fsa import Dfsa, _Record, _subset_table, _SubsetTable
 
 TAU = "tau"
 DELTA = "delta"
@@ -53,8 +54,8 @@ class Iolts(_Record):
     ``outputs`` contains ``delta`` once the model has been quiescence-completed;
     plain user models never mention ``delta``, and ``tau`` appears only as a
     transition label.  Instances are immutable and safe to share; each caches its
-    adjacency rows, ``ensure_quiescence`` and ``determinize`` on first use, and
-    the caches take no part in equality or hashing.  The constructor checks
+    adjacency rows, its subset table, ``ensure_quiescence`` and ``determinize``
+    on first use, and the caches take no part in equality or hashing.  The constructor checks
     names, ranges and labels; derived models are not checked again.
     """
 
@@ -113,9 +114,12 @@ class Iolts(_Record):
         return complete_quiescence(self)
 
     @cached_property
+    def _subsets(self) -> _SubsetTable:
+        return _subset_table(self._adjacency, TAU, self.observable_alphabet)
+
+    @cached_property
     def _determinization(self) -> Dfsa:
-        return _subset_dfsa(self._adjacency, TAU, self.initial, self.observable_alphabet,
-                            lambda mask: True)
+        return self._subsets.dfsa(self.initial, lambda mask: True)
 
     def transitions_from(self, state: int) -> tuple[tuple[str, int], ...]:
         return self._adjacency[state]

@@ -33,7 +33,7 @@ from ioltstest import (
     verdict_json,
     witnesses_transition_cover,
 )
-from ioltstest.fsa import Dfsa
+from ioltstest.fsa import Dfsa, _first_word
 from ioltstest.iolts import DELTA, FAIL
 from test_acceptance import _random_regex
 
@@ -694,3 +694,127 @@ def test_products_outside_a_verdict_still_check_their_alphabets():
         with pytest.raises(AlphabetMismatchError,
                            match=r"^automata alphabets differ: \['x', 'y', 'z'\] not shared$"):
             product(a, b)
+
+
+# --- on-demand determinization against the whole det models ---------------
+
+
+def _whole_ioco(spec, iut, order):
+    """check_ioco's single search on both whole det models, trying tokens in
+    ``order``: the product search that on-demand stepping replaced."""
+    cs = ensure_quiescence(spec)
+    ds, di, outputs = determinize(cs), determinize(ensure_quiescence(iut)), set(cs.outputs)
+
+    def moves(pair):
+        s, q = pair
+        for tok in order:
+            q2 = di.step(q, tok)
+            if q2 is None:
+                continue
+            s2 = ds.step(s, tok)
+            if s2 is not None:
+                yield tok, (s2, q2)
+            elif tok in outputs:
+                yield tok, FAIL
+
+    return _first_word((ds.initial, di.initial), moves, lambda key: key is FAIL)
+
+
+def _whole_lang(spec, iut, d, f, order):
+    """check_lang's single search on the whole det(IUT) and the suite, trying
+    tokens in ``order``."""
+    di, suite = determinize(ensure_quiescence(iut)), build_fault_suite(spec, d, f)
+
+    def moves(pair):
+        q, b = pair
+        for tok in order:
+            q2 = di.step(q, tok)
+            if q2 is not None:
+                yield tok, (q2, suite.step(b, tok))
+
+    return _first_word((di.initial, suite.initial), moves,
+                       lambda key: key[1] in suite.accepting)
+
+
+def _on_demand_cases():
+    """240 seeded nondeterministic pairs: input-enabled specs or not, against
+    submachines or mutants, three in five IUTs declaring their inputs and
+    outputs in a permuted order; with each, the ioco D and an empty F, or a
+    random D and F (F's alphabet reversed in one case of three)."""
+    for seed in range(240):
+        rng = SplitMix64(0x0D3 + seed)
+        spec = random_iolts(GenParams(states=2 + rng.below(9), inputs=["a", "b", "c"],
+                                      outputs=["x", "y"], deterministic=False,
+                                      input_enabled=seed % 2 == 0, density=0.5,
+                                      seed=rng.next_u64()))
+        iut = submachine(spec, 0.7, seed) if seed % 3 == 0 else mutate(spec, 0.2, seed).model
+        permuted = seed % 5 < 3
+        if permuted:
+            iut = Iolts(iut.states, iut.initial, iut.inputs[1:] + iut.inputs[:1],
+                        iut.outputs[::-1], iut.transitions)
+        alpha = obs_alphabet(spec)
+        f_alpha = alpha[::-1] if seed % 3 == 0 else alpha
+        if seed % 2:
+            d, f = ioco_desirable_language(spec), empty_language(f_alpha)
+        else:
+            d = compile_regex(_random_regex(rng, alpha, rng.below(5)), alpha)
+            f = compile_regex(_random_regex(rng, f_alpha, rng.below(5)), f_alpha)
+        yield seed, spec, iut, d, f, permuted
+
+
+def test_on_demand_verdicts_match_whole_determinization():
+    """check_ioco's and check_lang's single verdicts, searched over subsets
+    stepped on demand, are the whole det models' verdicts and witnesses, ties
+    broken in the specification's (F's) order whatever the IUT's.  Their
+    stats count the subsets the call stepped: at least one and at most the
+    whole det size on each side (none on the IUT side of check_lang when the
+    empty word is the fault), and the same whether the models were
+    determinized before or not."""
+    counts = dict.fromkeys(("ioco fault", "ioco conforms", "lang fault", "lang conforms",
+                            "ioco reordered", "lang reordered", "partial", "empty fault"), 0)
+    for seed, spec, iut, d, f, permuted in _on_demand_cases():
+        cs, ci = ensure_quiescence(spec), ensure_quiescence(iut)
+        ioco, lang = check_ioco(spec, iut), check_lang(spec, iut, d, f)
+        n_spec, n_iut = determinize(cs).n_states, determinize(ci).n_states
+        assert (ioco, lang) == (check_ioco(spec, iut), check_lang(spec, iut, d, f)), seed
+
+        w = _whole_ioco(spec, iut, cs.observable_alphabet)
+        assert ioco.witnesses == (() if w is None else (w,)), seed
+        assert 0 < ioco.stats.spec_states <= n_spec and 0 < ioco.stats.iut_states <= n_iut
+        counts["ioco conforms" if w is None else "ioco fault"] += 1
+        counts["ioco reordered"] += permuted and w != _whole_ioco(spec, iut,
+                                                                  ci.observable_alphabet)
+        counts["partial"] += ioco.stats.iut_states < n_iut
+
+        w = _whole_lang(spec, iut, d, f, f.alphabet)
+        assert lang.witnesses == (() if w is None else (w,)), seed
+        assert lang.stats.spec_states == n_spec, seed
+        assert lang.stats.iut_states <= n_iut, seed
+        assert (lang.stats.iut_states == 0) == (w == ()), seed
+        counts["lang conforms" if w is None else "lang fault"] += 1
+        counts["empty fault"] += w == ()
+        counts["lang reordered"] += permuted and w != _whole_lang(spec, iut, d, f,
+                                                                  ci.observable_alphabet)
+    assert min(counts.values()) >= 10, counts
+
+
+def test_cover_stats_are_whole_det_sizes():
+    """A cover verdict counts both det models whole once it builds them: every
+    check_lang cover, and check_ioco's cover of a fault.  check_ioco's cover
+    of a conforming pair builds nothing past its single search, whose counts
+    it reports."""
+    verdicts = {True: 0, False: 0}
+    for seed, spec, iut, d, f, _ in _on_demand_cases():
+        if seed % 4:
+            continue
+        whole = (determinize(ensure_quiescence(spec)).n_states,
+                 determinize(ensure_quiescence(iut)).n_states)
+        v = check_lang(spec, iut, d, f, "cover")
+        assert (v.stats.spec_states, v.stats.iut_states) == whole, seed
+        v = check_ioco(spec, iut, "cover")
+        if v.conforms:
+            assert v.stats == check_ioco(spec, iut).stats, seed
+        else:
+            assert (v.stats.spec_states, v.stats.iut_states) == whole, seed
+        verdicts[v.conforms] += 1
+    assert min(verdicts.values()) >= 10, verdicts

@@ -201,10 +201,10 @@ def test_compile_rejects_bad_sources(src):
         compile_regex(src, ("a", "b"))
 
 
-@pytest.mark.parametrize("token", ["", "a b", "|", "%empty", 1, None, ("a",)])
+@pytest.mark.parametrize("token", ["", "a b", "|", "%empty", 1, None, ("a",), ["a"]])
 def test_compile_refuses_bad_alphabet_tokens(token):
     """A token that is not a non-blank, operator-free string is refused by the
-    token check, whatever its type."""
+    token check, whatever its type, before the duplicate check hashes it."""
     with pytest.raises(FormatError, match=f"^invalid alphabet token {re.escape(repr(token))}$"):
         compile_regex("a", ("a", token))
 
@@ -579,13 +579,13 @@ def test_internal_builds_pass_the_public_constructor(monkeypatch):
     """Every automaton built without the constructor's checks is one the
     constructor accepts, with the complete flag set exactly when total."""
     suite_iuts = []
-    real_product_moves = conformance._product_moves
+    real_cover = conformance.witnesses_transition_cover
 
-    def spy(a, b):  # check_lang's det(IUT) on the suite's alphabet
+    def spy(a, b):  # check_lang's cover det(IUT) on the suite's alphabet
         suite_iuts.append(a)
-        return real_product_moves(a, b)
+        return real_cover(a, b)
 
-    monkeypatch.setattr(conformance, "_product_moves", spy)
+    monkeypatch.setattr(conformance, "witnesses_transition_cover", spy)
     rng = SplitMix64(22)
     built = []
     for seed, spec, c in nondeterministic_models(60, max_states=10):
@@ -596,7 +596,7 @@ def test_internal_builds_pass_the_public_constructor(monkeypatch):
         suite = build_fault_suite(spec, d, f)
         iut = random_iolts(GenParams(1 + seed % 6, ["a", "b"], ["x"], deterministic=False,
                                      input_enabled=False, density=0.5, seed=1000 + seed))
-        check_lang(spec, iut, d, f)
+        check_lang(spec, iut, d, f, "cover")
         built += [det, d, f, suite, complete(det), complement(det), complete(d),
                   complement(f), intersect(det, f), union(d, f)]
     assert len(suite_iuts) == 60

@@ -45,10 +45,12 @@ TESTER = path_to_test_purpose(("x",), ("a",), ("x",))  # states t0 pass fail
     (lambda: Dfsa(("a",), 1, 0, frozenset({0.0}), {}), "accepting state out of range"),
     (lambda: Dfsa(("a",), 2.0, 0, frozenset(), {}), "automaton needs at least one state"),
     (lambda: Dfsa(("a",), True, 0, frozenset(), {}), "automaton needs at least one state"),
+    (lambda: Dfsa((1,), 1, 0, frozenset(), {}), "automaton token 1 is not a string"),
+    (lambda: Dfsa((["a"],), 1, 0, frozenset(), {}), "automaton token ['a'] is not a string"),
 ], ids=["iolts-float-dst", "iolts-bool-src", "iolts-bool-initial", "iolts-int-state",
         "iolts-float-input", "tp-float-initial", "tp-float-dst", "tp-float-pass",
         "tp-bool-fail", "dfsa-float-dst", "dfsa-float-accepting", "dfsa-float-size",
-        "dfsa-bool-size"])
+        "dfsa-bool-size", "dfsa-int-token", "dfsa-list-token"])
 def test_constructors_refuse_what_they_cannot_use(build, message):
     """A float or bool index and a non-string name are refused where the
     record is built, with the message of the rule they break."""
@@ -73,9 +75,12 @@ def test_constructors_refuse_what_they_cannot_use(build, message):
     (lambda: Dfsa(["a"], 1, 0, frozenset(), {}), "Dfsa alphabet must be a tuple"),
     (lambda: Dfsa(("a",), 1, 0, frozenset(), {(0,): 0}),
      "transition (0, 0) is not a (source, label, target) triple"),
+    (lambda: Dfsa(("a",), 1, 0, frozenset(), {0: 0}),
+     "transition key 0 is not a (state, token) tuple"),
 ], ids=["iolts-str-states", "iolts-list-states", "iolts-list-inputs", "iolts-list-moves",
         "iolts-short-move", "iolts-list-move", "tp-list-states", "tp-long-move",
-        "dfsa-list-moves", "dfsa-set-accepting", "dfsa-list-alphabet", "dfsa-short-key"])
+        "dfsa-list-moves", "dfsa-set-accepting", "dfsa-list-alphabet", "dfsa-short-key",
+        "dfsa-int-key"])
 def test_constructors_refuse_the_wrong_containers(build, message):
     """Each field declared a tuple, frozenset or dict must hold one, and each
     move must be a (source, label, target) tuple, before any other check: a
@@ -95,7 +100,8 @@ _MESSAGES = re.compile("|".join((
     r"reserved name used as a test purpose action",
     r"delta belongs to the observed side of a test purpose",
     r"invalid test purpose name .*", r"pass/fail indices must name the pass/fail states",
-    r"duplicate token in automaton alphabet", r"automaton needs at least one state",
+    r"automaton token .* is not a string", r"duplicate token in automaton alphabet",
+    r"transition key .* is not a \(state, token\) tuple", r"automaton needs at least one state",
     r"accepting state out of range", r"transition token .* not in alphabet",
     r"automaton flagged complete is partial",
 )))
