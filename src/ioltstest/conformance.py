@@ -12,9 +12,12 @@ by one output and F empty it coincides with ioco, which the test suite
 exploits as a cross-oracle and ``check_ioco`` uses for its transition cover.
 Both routes open with one entry step, ``_open``, that checks their inputs once.
 
-The single-witness searches step det models on demand (``_Stepped``), only
-the subsets they reach, in the order of the whole det models, so the witness
-is the same; det(spec) of a suite and both det models of a cover are whole.
+The single-witness searches step det models on demand (``iolts._Stepped``, as
+the runs of ``testrun`` do), only the subsets they reach, in the order of the
+whole det models, so the witness is the same.  ``check_lang`` moves by the
+product rule of ``fsa``; ``check_ioco`` keeps its own, for its FAIL move.
+det(spec) of a suite is whole, and the cover is the one walk that builds
+det(IUT) whole.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from .errors import AlphabetMismatchError
 from .fsa import (
     Dfsa,
     _first_word,
+    _product_moves,
     _require_shared_alphabet,
     _search_dfsa,
     empty_language,
 )
-from .iolts import FAIL, Iolts, determinize, ensure_quiescence
+from .iolts import FAIL, Iolts, _Stepped, determinize, ensure_quiescence
 
 WITNESS_STRATEGIES = ("single", "cover")
 
@@ -81,18 +85,6 @@ def _open(spec: Iolts, iut: Iolts, witness: str) -> tuple[Iolts, Iolts]:
     if set(cs.inputs) != set(ci.inputs) or set(cs.outputs) != set(ci.outputs):
         raise AlphabetMismatchError("specification and implementation alphabets differ")
     return cs, ci
-
-
-class _Stepped(dict):
-    """det(m) stepped on demand for one verdict: maps each subset mask it was
-    asked for to its ``{token: mask}`` row; ``start`` is the initial mask."""
-
-    def __init__(self, m: Iolts):
-        self.step, self.start = m._subsets.step, m._subsets.reach[m.initial]
-
-    def __missing__(self, mask: int) -> dict[str, int]:
-        row = self[mask] = self.step(mask)
-        return row
 
 
 def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
@@ -207,19 +199,11 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
         words = tuple(witnesses_transition_cover(di, suite))
         iut_states = di.n_states
     else:
-        # search det(IUT) x suite unbuilt, det(IUT) on demand; every det(IUT)
+        # search suite x det(IUT) unbuilt, det(IUT) on demand; every det(IUT)
         # state accepts, and ties break in the suite's order, not the IUT's
         iut_rows = _Stepped(ci)
-        suite_step = suite.transitions.get
-
-        def moves(pair):  # the suite is complete
-            q, b = pair
-            row = iut_rows[q]
-            return [(tok, (row[tok], suite_step((b, tok)))) for tok in suite.alphabet
-                    if tok in row]
-
-        w = _first_word((iut_rows.start, suite.initial), moves,
-                        lambda key: key[1] in suite.accepting)
+        w = _first_word((suite.initial, iut_rows.start), _product_moves(suite, iut_rows),
+                        lambda key: key[0] in suite.accepting)
         words, iut_states = () if w is None else (w,), len(iut_rows)
     stats = SuiteStats(determinize(cs).n_states, iut_states, len(suite.alphabet),
                        *completed_sizes, suite.n_states)

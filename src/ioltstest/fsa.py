@@ -286,16 +286,17 @@ def _require_shared_alphabet(a: Dfsa, b: Dfsa) -> None:
         raise AlphabetMismatchError(f"automata alphabets differ: {diff} not shared")
 
 
-def _product_moves(a: Dfsa, b: Dfsa):
-    """Successors of a pair key in the a x b product of automata whose tokens
-    the callers have checked equal, in a's alphabet order.  Each state of a
-    lists its moves once; b is probed only on those tokens."""
-    rows = [a.moves(s) for s in range(a.n_states)]
-    b_step = b.transitions.get
+def _product_moves(a: Dfsa, b_rows):
+    """The one product move rule: the successors of a pair key (a state, b key)
+    in a's alphabet order, where ``b_rows[key]`` is b's ``{token: successor}``
+    row, probed before a's map; the callers have checked the tokens shared."""
+    alphabet, a_step = a.alphabet, a.transitions.get
 
     def moves(pair):
         pa, pb = pair
-        return [(tok, (qa, qb)) for tok, qa in rows[pa] if (qb := b_step((pb, tok))) is not None]
+        row = b_rows[pb]
+        return [(tok, (qa, row[tok])) for tok in alphabet
+                if tok in row and (qa := a_step((pa, tok))) is not None]
 
     return moves
 
@@ -303,7 +304,8 @@ def _product_moves(a: Dfsa, b: Dfsa):
 def _product(a: Dfsa, b: Dfsa, conjunction: bool) -> Dfsa:
     _require_shared_alphabet(a, b)
     accept = all if conjunction else any
-    return _search_dfsa(a.alphabet, (a.initial, b.initial), _product_moves(a, b),
+    b_rows = [dict(b.moves(s)) for s in range(b.n_states)]
+    return _search_dfsa(a.alphabet, (a.initial, b.initial), _product_moves(a, b_rows),
                         lambda k: accept((k[0] in a.accepting, k[1] in b.accepting)))
 
 

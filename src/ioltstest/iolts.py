@@ -7,8 +7,9 @@ adding a ``delta`` self-loop there, after which the observable behavior of a
 model is the prefix-closed set of its tau-free label sequences.
 ``determinize`` builds that set as an automaton by the subset construction
 of ``fsa`` over the model's adjacency rows, from a subset table the model
-caches and the conformance checks also step on demand; ``traces_bounded``
-enumerates it with its own tau-closure, so each cross-checks the other.
+caches, which the verdicts and runs step on demand instead (``_Stepped``);
+``traces_bounded`` enumerates it with its own tau-closure, so each
+cross-checks the other.
 
 The line format of models and testers has its one reader, ``_read_sections``,
 its one writer, ``_serialize``, and its one name rule, ``_check_name``, here.
@@ -277,6 +278,18 @@ def determinize(m: Iolts) -> Dfsa:
     if not m.is_quiescence_completed:
         raise FormatError("determinize requires a quiescence-completed model")
     return m._determinization
+
+
+class _Stepped(dict):
+    """det(m) stepped on demand for one walk: maps each subset mask it was
+    asked for to its ``{token: mask}`` row; ``start`` is the initial mask."""
+
+    def __init__(self, m: Iolts):
+        self.step, self.start = m._subsets.step, m._subsets.reach[m.initial]
+
+    def __missing__(self, mask: int) -> dict[str, int]:
+        row = self[mask] = self.step(mask)
+        return row
 
 
 def traces_bounded(m: Iolts, depth: int) -> set[tuple[str, ...]]:

@@ -84,7 +84,7 @@ class Multigraph:
     @cached_property
     def edges(self) -> dict[Node, tuple[tuple[str, object], ...]]:
         """Every node's ``out``, state-major, tabulated on first access;
-        path search does not use it."""
+        nothing in the package reads it."""
         return {(i, k): tuple(self.out((i, k)))
                 for i in range(self.n) for k in range(self.levels)}
 
@@ -104,14 +104,10 @@ class Multigraph:
 
     @property
     def is_acyclic(self) -> bool:
-        for (state, level), out in self.edges.items():
-            for _, target in out:
-                if target == FAIL:
-                    continue
-                t_state, t_level = target
-                if (t_level, t_state) <= (level, state):
-                    return False
-        return True
+        """Every edge but a fail edge climbs in (level, state) order."""
+        return all(target == FAIL or target[::-1] > (k, i)
+                   for i in range(self.n) for k in range(self.levels)
+                   for _, target in self.out((i, k)))
 
 
 def build_multigraph(spec: Iolts, m: int) -> Multigraph:

@@ -370,6 +370,49 @@ def test_boolean_combinations_on_samples():
             assert uni.accepts(w) == (a.accepts(w) or b.accepts(w))
 
 
+def _reference_product(a, b, conjunction):
+    """The pair product by a move rule that lists a's moves first and probes
+    b's transition map on each: the reference for ``fsa._product_moves``."""
+    rows = [a.moves(s) for s in range(a.n_states)]
+    b_step = b.transitions.get
+
+    def moves(pair):
+        pa, pb = pair
+        return [(tok, (qa, qb)) for tok, qa in rows[pa] if (qb := b_step((pb, tok))) is not None]
+
+    accept = all if conjunction else any
+    return _search_dfsa(a.alphabet, (a.initial, b.initial), moves,
+                        lambda k: accept((k[0] in a.accepting, k[1] in b.accepting)))
+
+
+def test_products_match_the_reference_move_rule():
+    """intersect and union of seeded compiled regexes and det models (partial,
+    all accepting), over one token set declared in two orders, are identical
+    to the reference product: states, initial state, accepting states,
+    completeness and the transition items in their order."""
+    tokens = ("a", "b", "x", "y", "delta")
+    rng = SplitMix64(0x9D0C)
+    automata = []
+    for _ in range(40):
+        order = tokens if rng.below(2) else tokens[::-1]
+        automata.append(compile_regex(random_regex(rng), order))
+        iut = ensure_quiescence(random_iolts(GenParams(
+            states=1 + rng.below(5), inputs=["a", "b"], outputs=["x", "y"],
+            deterministic=False, input_enabled=False, density=0.5, seed=rng.next_u64())))
+        if rng.below(2):
+            iut = replace(iut, inputs=iut.inputs[::-1], outputs=iut.outputs[::-1])
+        automata.append(determinize(iut))
+    pairs = 0
+    for a, b in zip(automata, automata[1:] + automata[:1]):
+        for got, want in ((intersect(a, b), _reference_product(a, b, True)),
+                          (union(a, b), _reference_product(complete(a), complete(b), False))):
+            assert (got.n_states, got.initial, got.accepting, got.complete) == \
+                (want.n_states, want.initial, want.accepting, want.complete)
+            assert list(got.transitions.items()) == list(want.transitions.items())
+            pairs += got.n_states > 1
+    assert pairs >= 100
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32),
        st.lists(st.sampled_from(ABX), max_size=6))

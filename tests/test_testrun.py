@@ -19,6 +19,7 @@ from ioltstest import (
     SplitMix64,
     TpResult,
     check_ioco,
+    determinize,
     ensure_quiescence,
     generate_fault_model,
     mutate,
@@ -34,6 +35,7 @@ from ioltstest import (
     tp_invariant_violations,
     traces_bounded,
 )
+from ioltstest.fsa import _first_word
 
 
 @pytest.fixture
@@ -344,6 +346,79 @@ def test_path_walk_matches_product_runs():
             failing += sum(r.verdict == "fail" for r in expected)
             incomplete += sum(r.incomplete for r in expected)
     assert failing and incomplete
+
+
+def _whole_det_runs(iut, model):
+    """``run_fault_model(iut, model).results`` and the ``run_tp`` triple of every
+    tester, by runs over det(IUT) built whole: the reference for the runs that
+    step it on demand."""
+    di = determinize(ensure_quiescence(iut))
+    step = di.transitions.get
+    results = []
+    for i, path in enumerate(model.paths):
+        q = di.initial
+        for tok in path:
+            if (nxt := step((q, tok))) is None:
+                stimulus = tok if tok in model.inputs else model.inputs[0]
+                stuck = all(step((q, t)) is None for t in (*model.outputs, stimulus))
+                results.append(TpResult(i, "pass", None, stuck))
+                break
+            q = nxt
+        else:
+            results.append(TpResult(i, "fail", path, False))
+    triples = []
+    for tp in model.tps:
+        a, terminal, stuck = tp._automaton, (tp.pass_index, tp.fail_index), False
+        rows = [a.moves(s) for s in range(a.n_states)]
+
+        def successors(key):
+            nonlocal stuck
+            if key[0] in terminal:
+                return ()
+            found = [(tok, (qa, qb)) for tok, qa in rows[key[0]]
+                     if (qb := step((key[1], tok))) is not None]
+            stuck = stuck or not found
+            return found
+
+        word = _first_word((tp.initial, di.initial), successors,
+                           lambda key: key[0] == tp.fail_index)
+        triples.append(("pass", None, stuck) if word is None else ("fail", word, False))
+    return tuple(results), triples
+
+
+def test_runs_match_whole_det_reference():
+    """Seeded deterministic specs against nondeterministic, mutant and
+    livelocking implementations, each also as a twin declaring its alphabets
+    in reverse order: both runs give the whole-det reference's results, and
+    neither builds det(IUT) whole."""
+    pairs = failing = incomplete = 0
+    for seed in range(70):
+        rng = SplitMix64(0x51E9 + seed)
+        spec = random_iolts(GenParams(states=1 + rng.below(5), inputs=["a", "b"],
+                                      outputs=["x", "y"], deterministic=True,
+                                      input_enabled=False, density=0.5,
+                                      seed=rng.next_u64()))
+        model = generate_fault_model(spec, m=1 + rng.below(2), limit=30)
+        nondet = random_iolts(GenParams(states=1 + rng.below(5), inputs=["a", "b"],
+                                        outputs=["x", "y"], deterministic=False,
+                                        input_enabled=False, density=0.4,
+                                        seed=rng.next_u64()))
+        try:
+            mutant = mutate(spec, 0.3, seed).model
+        except ValueError:  # too few transitions to edit at that rate
+            mutant = submachine(spec, 0.5, seed)
+        for iut in (nondet, mutant, _livelock(nondet, rng)):
+            twin = Iolts(iut.states, iut.initial, iut.inputs[::-1], iut.outputs[::-1],
+                         iut.transitions)
+            for run_iut in (iut, twin):
+                results = run_fault_model(run_iut, model).results
+                triples = [run_tp(run_iut, tp) for tp in model.tps]
+                assert "_determinization" not in vars(ensure_quiescence(run_iut)), seed
+                assert (results, triples) == _whole_det_runs(run_iut, model), seed
+                failing += sum(r.verdict == "fail" for r in results)
+                incomplete += sum(r.incomplete for r in results)
+            pairs += 1
+    assert pairs >= 200 and failing and incomplete
 
 
 def test_both_runs_refuse_a_mismatched_implementation_alike(m1):
