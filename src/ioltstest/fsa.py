@@ -27,7 +27,8 @@ Automata built here skip the constructor's checks (``Dfsa._built``, the one
 unchecked builder of the package's records, ``_Record``).  The regex parser
 reads the tokens in one loop over a stack of open groups (at most 100) and
 emits Thompson's construction straight into such rows, with no syntax tree in
-between.  Nothing here recurses.
+between.  Nothing here recurses.  The package's one scalar rule, ``_is``, lives here
+too: ``_require`` checks with it every count, fraction, seed and flag where it enters.
 """
 
 from __future__ import annotations
@@ -42,6 +43,20 @@ _EMPTY_WORD = "%empty"
 _FINITE_DIRECTIVE = "#finite"
 _MAX_NESTING = 100  # most parentheses open at once in a regex
 _CONTAINERS = {kind.__name__: kind for kind in (tuple, frozenset, dict)}
+_INT, _NUMBER, _FLAG = (int,), (int, float), (bool,)  # the kinds of ``_is``
+
+
+def _is(v, kind: tuple, least: float = float("-inf")) -> bool:
+    """The one scalar rule: ``v``'s own type is in ``kind``, so a bool is a
+    ``_FLAG`` and no ``_INT`` or ``_NUMBER``, and ``v`` is at least ``least``;
+    a caller bounds a number from above itself."""
+    return type(v) in kind and v >= least
+
+
+def _require(ok: bool, message: str, error: type = ValueError) -> None:
+    """An entry's check: ``error(message)`` unless ``ok``."""
+    if not ok:
+        raise error(message)
 
 
 class _Record:
@@ -64,7 +79,7 @@ class _Record:
 
     @staticmethod
     def _is_index(i, n: int) -> bool:
-        """The one state-index rule: ``i`` is an int, not a bool, in range(n)."""
+        """The one state-index rule, ``_is(i, _INT, 0)`` bounded above: ``i`` in range(n)."""
         return type(i) is int and 0 <= i < n
 
     def _check_moves(self, n: int, moves, labels, unknown: str) -> None:
@@ -105,8 +120,7 @@ class Dfsa(_Record):
                 raise FormatError(f"automaton token {tok!r} is not a string")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise FormatError("duplicate token in automaton alphabet")
-        if type(self.n_states) is not int or self.n_states < 1:
-            raise FormatError("automaton needs at least one state")
+        _require(_is(self.n_states, _INT, 1), "automaton needs at least one state", FormatError)
         for key in self.transitions:  # the move rule then checks a key's length
             if type(key) is not tuple:
                 raise FormatError(f"transition key {key!r} is not a (state, token) tuple")
@@ -114,6 +128,7 @@ class Dfsa(_Record):
                           set(self.alphabet), "transition token {!r} not in alphabet")
         if not all(self._is_index(s, self.n_states) for s in self.accepting):
             raise FormatError("accepting state out of range")
+        _require(_is(self.complete, _FLAG), "automaton complete flag must be a bool", FormatError)
         # the keys are distinct (state, token) pairs in range, so a full count
         # means every pair is defined
         if self.complete and len(self.transitions) != self.n_states * len(self.alphabet):
@@ -341,8 +356,7 @@ def equivalent(a: Dfsa, b: Dfsa) -> bool:
 
 def bounded_language(a: Dfsa, depth: int) -> set[tuple[str, ...]]:
     """All accepted words of length at most ``depth``."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    _require(_is(depth, _INT, 0), "depth must be >= 0")
     words: set[tuple[str, ...]] = set()
     frontier: list[tuple[int, tuple[str, ...]]] = [(a.initial, ())]
     for length in range(depth + 1):
@@ -475,6 +489,7 @@ def _minimize(a: Dfsa) -> Dfsa:
 def _split_source(src: str) -> tuple[bool, list[str]]:
     """The #finite flag and the content lines: the non-blank lines that are
     not comments.  #finite counts only before the first content line."""
+    _require(type(src) is str, "regex source must be a str", FormatError)
     lines = [ln.strip() for ln in src.splitlines()]
     content = [ln for ln in lines if ln and not ln.startswith("#")]
     head = lines[:lines.index(content[0])] if content else lines

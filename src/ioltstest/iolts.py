@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import FormatError
-from .fsa import Dfsa, _Record, _subset_table, _SubsetTable
+from .fsa import _INT, Dfsa, _is, _Record, _require, _subset_table, _SubsetTable
 
 TAU = "tau"
 DELTA = "delta"
@@ -52,12 +52,12 @@ def _check_name(name, kind: str) -> None:
 class Iolts(_Record):
     """An input/output labeled transition system.
 
-    ``outputs`` contains ``delta`` once the model has been quiescence-completed;
-    plain user models never mention ``delta``, and ``tau`` appears only as a
-    transition label.  Instances are immutable and safe to share; each caches its
-    adjacency rows, its subset table, ``ensure_quiescence`` and ``determinize``
-    on first use, and the caches take no part in equality or hashing.  The constructor checks
-    names, ranges and labels; derived models are not checked again.
+    ``outputs`` contains ``delta`` once the model has been quiescence-completed, and no
+    delta move without it; plain user models never mention ``delta``, and ``tau`` appears
+    only as a transition label.  Instances are immutable and safe to share; each caches its
+    adjacency rows, its subset table, ``ensure_quiescence`` and ``determinize`` on first
+    use, and the caches take no part in equality or hashing.  The constructor checks names,
+    ranges and labels; derived models are not checked again.
     """
 
     states: tuple[str, ...]
@@ -142,7 +142,7 @@ class Iolts(_Record):
 
     @property
     def has_delta(self) -> bool:
-        return DELTA in self.outputs or any(l == DELTA for _, l, _ in self.transitions)
+        return DELTA in self.outputs
 
     @cached_property
     def _quiescent(self) -> tuple[int, ...]:
@@ -167,6 +167,7 @@ def _read_sections(text: str) -> tuple:
     """Read the line format into states, initial index, inputs, outputs and
     transition triples, a repeated transition line once; shared by the model
     and test-purpose loaders, whose constructors check the rest."""
+    _require(type(text) is str, "model or tester text must be a str", FormatError)
     lines = [ln for raw in text.splitlines() if (ln := raw.split("#", 1)[0].strip())]
     header = []
     for pos, name in enumerate(_SECTIONS):
@@ -236,8 +237,7 @@ def complete_quiescence(m: Iolts) -> Iolts:
 
     Raises FormatError if the model already mentions delta anywhere.
     """
-    if m.has_delta:
-        raise FormatError("model already contains delta")
+    _require(not m.has_delta, "model already contains delta", FormatError)
     return Iolts._built(m.states, m.initial, m.inputs, m.outputs + (DELTA,),
                         m.transitions + tuple((i, DELTA, i) for i in m._quiescent))
 
@@ -299,8 +299,7 @@ def traces_bounded(m: Iolts, depth: int) -> set[tuple[str, ...]]:
     transition relation with tau-closure at every step and never builds an
     automaton, so it cross-checks determinize() through an independent path.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    _require(_is(depth, _INT, 0), "depth must be >= 0")
     if not m.is_quiescence_completed:
         raise FormatError("traces_bounded requires a quiescence-completed model")
     alphabet = m.observable_alphabet

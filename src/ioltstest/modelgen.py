@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import FormatError
-from .fsa import _explore
+from .fsa import _FLAG, _INT, _NUMBER, _explore, _is, _require
 from .iolts import TAU, Iolts
 
 log = logging.getLogger(__name__)
@@ -25,6 +25,7 @@ class SplitMix64:
     """The fixed PRNG stream behind all generation and mutation."""
 
     def __init__(self, seed: int):
+        _require(_is(seed, _INT), "seed must be an int")  # any int, masked to 64 bits
         self._state = seed & _MASK
 
     def next_u64(self) -> int:
@@ -47,11 +48,10 @@ class SplitMix64:
 
 
 def _tokens(spec: int | Sequence[str], prefix: str) -> tuple[str, ...]:
-    if isinstance(spec, int):
-        if spec < 0:
-            raise ValueError("token count must be >= 0")
-        return tuple(f"{prefix}{k}" for k in range(spec))
-    return tuple(spec)
+    if isinstance(spec, (list, tuple)):
+        return tuple(spec)
+    _require(_is(spec, _INT, 0), "token count must be >= 0")  # a bool or a str is no count
+    return tuple(f"{prefix}{k}" for k in range(spec))
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class GenParams:
     """Shape of a randomly generated model.
 
     ``inputs``/``outputs`` take either a count (names are synthesized) or an
-    explicit token list.  ``density`` is the probability that an optional
-    (state, label) slot carries a transition.
+    explicit token list or tuple.  ``density`` is the probability that an
+    optional (state, label) slot carries a transition.
     """
 
     states: int
@@ -72,10 +72,11 @@ class GenParams:
     seed: int = 0
 
     def validate(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        if self.states < 1:
-            raise ValueError("state count must be >= 1")
-        if not 0.0 <= self.density <= 1.0:
-            raise ValueError("density must lie in [0, 1]")
+        _require(_is(self.states, _INT, 1), "state count must be >= 1")
+        _require(_is(self.density, _NUMBER) and 0.0 <= self.density <= 1.0,
+                 "density must lie in [0, 1]")
+        _require(_is(self.deterministic, _FLAG), "deterministic must be a bool")
+        _require(_is(self.input_enabled, _FLAG), "input_enabled must be a bool")
         inputs = _tokens(self.inputs, "in")
         outputs = _tokens(self.outputs, "out")
         if self.input_enabled and not inputs:
@@ -149,13 +150,13 @@ def submachine(spec: Iolts, keep_fraction: float, seed: int,
     """
     from .conformance import check_ioco
 
-    if spec.has_delta:
-        raise FormatError("submachine extraction expects a delta-free model")
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must lie in (0, 1]")
+    _require(not spec.has_delta, "submachine extraction expects a delta-free model", FormatError)
+    _require(_is(keep_fraction, _NUMBER) and 0.0 < keep_fraction <= 1.0,
+             "keep_fraction must lie in (0, 1]")
+    _require(_is(max_attempts, _INT, 0), "max_attempts must be >= 0")
+    rng = SplitMix64(seed)
     if keep_fraction == 1.0:
         return spec
-    rng = SplitMix64(seed)
     output_set = set(spec.outputs)
     for attempt in range(max_attempts):
         kept = tuple(
@@ -205,15 +206,11 @@ def mutate(m: Iolts, rate: float, seed: int, grow: int = 0) -> MutationRecord:
     fresh states, each attached with an incoming and an outgoing transition.
     The returned record carries the model plus the exact edit list.
     """
-    if m.has_delta:
-        # delta structure is derived, not behavior; mutate the raw model
-        raise FormatError("mutation expects a delta-free model")
-    if not m.transitions:
-        raise ValueError("cannot mutate a model without transitions")
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must lie in (0, 1]")
-    if grow < 0:
-        raise ValueError("grow must be >= 0")
+    # delta structure is derived, not behavior; mutate the raw model
+    _require(not m.has_delta, "mutation expects a delta-free model", FormatError)
+    _require(len(m.transitions) > 0, "cannot mutate a model without transitions")
+    _require(_is(rate, _NUMBER) and 0.0 < rate <= 1.0, "rate must lie in (0, 1]")
+    _require(_is(grow, _INT, 0), "grow must be >= 0")
     rng = SplitMix64(seed)
     wanted = math.ceil(rate * len(m.transitions))
     transitions = list(m.transitions)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import FormatError
-from .fsa import Dfsa, _explore, _Record
+from .fsa import _INT, Dfsa, _explore, _is, _Record, _require
 from .iolts import (
     DELTA,
     FAIL,
@@ -115,8 +115,7 @@ def build_multigraph(spec: Iolts, m: int) -> Multigraph:
 
     Requires a deterministic, quiescence-completed specification and an int m >= 1.
     """
-    if type(m) is not int or m < 1:  # the manifest's rule: a bool is no int
-        raise ValueError("state bound m must be >= 1")
+    _require(_is(m, _INT, 1), "state bound m must be >= 1")
     if not spec.is_quiescence_completed:
         raise FormatError("multigraph construction requires a quiescence-completed model")
     if not spec.is_deterministic:
@@ -139,8 +138,7 @@ def enumerate_fault_paths(g: Multigraph, limit: int) -> list[tuple[str, ...]]:
     order.  Enumeration stops after ``limit`` paths.  A multigraph without
     fail edges (a specification with no outputs but delta) has none.
     """
-    if type(limit) is not int or limit < 1:
-        raise ValueError("path limit must be >= 1")
+    _require(_is(limit, _INT, 1), "path limit must be >= 1")
     paths: list[tuple[str, ...]] = []
     if not any(j == FAIL for row in g.rows for _, j in row):
         return paths  # else the search below would walk every path
@@ -410,8 +408,7 @@ def generate_fault_model(spec: Iolts, m: int, limit: int = 1000) -> FaultModel:
     """
     cs = ensure_quiescence(spec)
     g = build_multigraph(cs, m)
-    if type(limit) is not int or limit < 1:
-        raise ValueError("path limit must be >= 1")
+    _require(_is(limit, _INT, 1), "path limit must be >= 1")
     # one path past the limit tells whether the model is truncated
     paths = enumerate_fault_paths(g, limit + 1)
     truncated = len(paths) > limit

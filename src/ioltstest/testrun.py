@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatchError, FormatError
-from .fsa import _first_word, _product_moves
+from .fsa import _FLAG, _first_word, _is, _product_moves, _require
 from .iolts import Iolts, _Stepped, ensure_quiescence
 from .testgen import FaultModel, TestPurpose, _require_sound
 
@@ -99,6 +99,7 @@ def run_fault_model(iut: Iolts, model: FaultModel, fail_fast: bool = False,
     incomplete.  ``fail_fast`` stops at the first failing tester (remaining
     testers are omitted from the report); ``workers`` is ignored.
     """
+    _require(_is(fail_fast, _FLAG), "fail_fast must be a bool")
     start = time.perf_counter()
     if model.paths and not model.inputs:  # as the tester builder refuses
         raise FormatError("a tester needs at least one input to emit")

@@ -1,6 +1,7 @@
 """The three checked records, ``Iolts``, ``TestPurpose`` and ``Dfsa``: their
 constructors share one index rule and one name rule, and a record that a
-constructor accepts is one the package can use."""
+constructor accepts is one the package can use.  Every public entry checks
+the counts, fractions, seeds, flags and texts it takes by the one scalar rule."""
 
 import random
 import re
@@ -9,20 +10,34 @@ from dataclasses import fields, replace
 import pytest
 
 from ioltstest import (
+    DELTA,
     Dfsa,
     FormatError,
+    GenParams,
     Iolts,
+    angelic_input_enable,
+    bounded_language,
+    build_multigraph,
     check_ioco,
+    compile_regex,
+    complete_quiescence,
     determinize,
     ensure_quiescence,
+    enumerate_fault_paths,
+    generate_fault_model,
+    mutate,
     parse_model,
     path_to_test_purpose,
+    random_iolts,
+    run_fault_model,
     serialize_model,
+    submachine,
     tp_from_text,
     tp_invariant_violations,
     tp_to_text,
+    traces_bounded,
 )
-from ioltstest import testgen
+from ioltstest import modelgen, testgen
 
 TESTER = path_to_test_purpose(("x",), ("a",), ("x",))  # states t0 pass fail
 
@@ -213,3 +228,121 @@ def test_an_accepted_record_is_usable():
                     state = table[state].get(tok) if state is not None else None
                 assert dfsa.accepts(word) is (state in dfsa.accepting)
     assert min(counts.values()) > 50, counts
+
+
+# --- the scalar rules: every count, fraction, seed, flag and text an entry takes ---
+
+_SPEC = parse_model("states: s0 s1\ninitial: s0\ninputs: a\noutputs: x y\n"
+                    "transitions:\ns0 a s1\ns1 x s0\ns1 y s1\n")
+_COMPLETED = ensure_quiescence(_SPEC)
+_GRAPH = build_multigraph(_COMPLETED, 1)
+_SUITE = generate_fault_model(_SPEC, 1, 5)
+
+
+def _generated(**params):
+    return random_iolts(GenParams(**{"states": 3, "inputs": 1, "outputs": 1, **params}))
+
+
+_NOT_COUNTS = (True, 2.5, "2", None)  # a bool, a float, a str and None are no count
+_NOT_NUMBERS = (True, "2", None)  # nor a fraction; 2.5 is one, out of range
+_NOT_FLAGS = (1, 2.5, "2", None)  # a truthy stand-in is no flag
+_NOT_TEXTS = (True, 2.5, None)
+
+# entry -> (call on a value, error type, message, bad values: wrong types, then out of range)
+_ENTRIES = {
+    "build_multigraph m": (lambda v: build_multigraph(_COMPLETED, v), ValueError,
+                           "state bound m must be >= 1", _NOT_COUNTS + (0,)),
+    "enumerate_fault_paths limit": (lambda v: enumerate_fault_paths(_GRAPH, v), ValueError,
+                                    "path limit must be >= 1", _NOT_COUNTS + (0,)),
+    "generate_fault_model limit": (lambda v: generate_fault_model(_SPEC, 1, v), ValueError,
+                                   "path limit must be >= 1", _NOT_COUNTS + (0,)),
+    "Dfsa n_states": (lambda v: Dfsa(("a",), v, 0, frozenset(), {}), FormatError,
+                      "automaton needs at least one state", _NOT_COUNTS + (0,)),
+    "traces_bounded depth": (lambda v: traces_bounded(_COMPLETED, v), ValueError,
+                             "depth must be >= 0", _NOT_COUNTS + (-1,)),
+    "bounded_language depth": (lambda v: bounded_language(determinize(_COMPLETED), v),
+                               ValueError, "depth must be >= 0", _NOT_COUNTS + (-1,)),
+    "GenParams states": (lambda v: _generated(states=v), ValueError,
+                         "state count must be >= 1", _NOT_COUNTS + (0,)),
+    "GenParams inputs": (lambda v: _generated(inputs=v), ValueError,
+                         "token count must be >= 0", _NOT_COUNTS + (-1, "ab")),
+    "GenParams outputs": (lambda v: _generated(outputs=v), ValueError,
+                          "token count must be >= 0", _NOT_COUNTS + (-1, "xy")),
+    "mutate grow": (lambda v: mutate(_SPEC, 0.5, 1, grow=v), ValueError, "grow must be >= 0",
+                    _NOT_COUNTS + (-1,)),
+    "submachine max_attempts": (lambda v: submachine(_SPEC, 0.5, 1, max_attempts=v),
+                                ValueError, "max_attempts must be >= 0", _NOT_COUNTS + (-1,)),
+    "GenParams density": (lambda v: _generated(density=v), ValueError,
+                          "density must lie in [0, 1]", _NOT_NUMBERS + (-0.5, 1.5)),
+    "mutate rate": (lambda v: mutate(_SPEC, v, 1), ValueError, "rate must lie in (0, 1]",
+                    _NOT_NUMBERS + (0, 1.5)),
+    "submachine keep_fraction": (lambda v: submachine(_SPEC, v, 1), ValueError,
+                                 "keep_fraction must lie in (0, 1]", _NOT_NUMBERS + (0, 2.5)),
+    "GenParams seed": (lambda v: _generated(seed=v), ValueError, "seed must be an int",
+                       _NOT_COUNTS),
+    "mutate seed": (lambda v: mutate(_SPEC, 0.5, v), ValueError, "seed must be an int",
+                    _NOT_COUNTS),
+    "submachine seed": (lambda v: submachine(_SPEC, 1, v), ValueError,
+                        "seed must be an int", _NOT_COUNTS),
+    "GenParams deterministic": (lambda v: _generated(deterministic=v), ValueError,
+                                "deterministic must be a bool", _NOT_FLAGS),
+    "GenParams input_enabled": (lambda v: _generated(input_enabled=v), ValueError,
+                                "input_enabled must be a bool", _NOT_FLAGS + (0,)),
+    "run_fault_model fail_fast": (lambda v: run_fault_model(_SPEC, _SUITE, fail_fast=v),
+                                  ValueError, "fail_fast must be a bool", _NOT_FLAGS),
+    "Dfsa complete": (lambda v: Dfsa(("a",), 1, 0, frozenset(), {(0, "a"): 0}, complete=v),
+                      FormatError, "automaton complete flag must be a bool", _NOT_FLAGS + ("no",)),
+    "parse_model text": (parse_model, FormatError, "model or tester text must be a str",
+                         _NOT_TEXTS + (b"states: s0",)),
+    "tp_from_text text": (tp_from_text, FormatError, "model or tester text must be a str",
+                          _NOT_TEXTS + (b"states: t0",)),
+    "compile_regex source": (lambda v: compile_regex(v, ["a"]), FormatError,
+                             "regex source must be a str", _NOT_TEXTS + (b"a",)),
+}
+_ROWS = [(name, value) for name, entry in _ENTRIES.items() for value in entry[3]]
+
+
+@pytest.mark.parametrize("name, value", _ROWS, ids=[f"{n}={v!r}" for n, v in _ROWS])
+def test_each_entry_refuses_a_bad_scalar_with_its_message(name, value):
+    """Oracle: every count, fraction, seed, flag and text a public entry takes
+    is checked where it enters by the one scalar rule of its kind: a value of
+    the wrong type or out of range ends in the entry's ``ValueError`` or
+    ``FormatError`` and its one-line message, never in another exception."""
+    call, error, message, _ = _ENTRIES[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_edge_values_stay_valid():
+    """The bounds are inclusive where the messages say so, and any int is a
+    seed: a negative one and one past 64 bits draw as their low 64 bits do."""
+    assert traces_bounded(_COMPLETED, 0) == {()}
+    assert bounded_language(determinize(_COMPLETED), 0) == {()}
+    assert mutate(_SPEC, 1, 1).edits and mutate(_SPEC, 1.0, 1) == mutate(_SPEC, 1, 1)
+    assert submachine(_SPEC, 1, 1) is _SPEC
+    assert submachine(_SPEC, 0.5, 1, max_attempts=0) is _SPEC  # the spec itself
+    assert _generated(density=1) == _generated(density=1.0)
+    assert _generated(seed=-1) == _generated(seed=(1 << 64) - 1)
+    assert _generated(seed=2**70 + 5) == _generated(seed=5)
+    assert mutate(_SPEC, 0.5, -1) == mutate(_SPEC, 0.5, (1 << 64) - 1)
+    assert Dfsa(("a",), 1, 0, frozenset(), {(0, "a"): 0}, complete=True).complete is True
+
+
+def test_has_delta_is_delta_among_the_outputs():
+    """No model, parsed, generated or derived, holds a delta move without
+    delta among its outputs, so ``has_delta`` need not scan the moves."""
+    with pytest.raises(FormatError, match="^unknown label 'delta'$"):
+        Iolts(("s0",), 0, ("a",), ("x",), ((0, "delta", 0),))
+    for seed in range(40):
+        m = random_iolts(GenParams(1 + seed % 5, ["a", "b"], ["x", "y"],
+                                   deterministic=seed % 2 == 0, input_enabled=seed % 3 == 0,
+                                   seed=seed))
+        derived = [m, ensure_quiescence(m), complete_quiescence(m), angelic_input_enable(m),
+                   submachine(m, 0.5, seed), modelgen._prune_unreachable(m)]
+        try:
+            derived.append(mutate(m, 0.3, seed, grow=seed % 3).model)
+        except ValueError:  # too few legal edits, or no transitions
+            pass
+        for model in derived:
+            moves = any(label == DELTA for _, label, _ in model.transitions)
+            assert model.has_delta is (DELTA in model.outputs) and (not moves or model.has_delta)
