@@ -120,10 +120,10 @@ def _cmd_run_suite(args) -> int:
 
 
 def _alphabet_arg(value: str):
-    try:
+    """A count if ``value`` is ASCII digits, else a comma-separated token list."""
+    if value.isascii() and value.isdecimal():
         return int(value)
-    except ValueError:
-        return [tok for tok in value.split(",") if tok]
+    return [tok for tok in value.split(",") if tok]
 
 
 def _cmd_gen_model(args) -> int:

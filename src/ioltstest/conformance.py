@@ -57,13 +57,14 @@ class SuiteStats:
 
 @dataclass(frozen=True)
 class Verdict:
-    conforms: bool
+    """Fault words and the sizes behind them; ``conforms`` is computed: no fault word."""
+
     witnesses: tuple[tuple[str, ...], ...]
     stats: SuiteStats
 
-    def __post_init__(self):
-        if self.conforms and self.witnesses:
-            raise ValueError("conforming verdict cannot carry witnesses")
+    @property
+    def conforms(self) -> bool:
+        return not self.witnesses
 
 
 def verdict_json(v: Verdict, relation: str) -> dict:
@@ -123,9 +124,9 @@ def check_ioco(spec: Iolts, iut: Iolts, witness: str = "single") -> Verdict:
                               lambda key: key is FAIL)
     stats = SuiteStats(len(spec_rows), len(iut_rows), len(alphabet))
     if first_fault is None:
-        return Verdict(True, (), stats)
+        return Verdict((), stats)
     if witness == "single":
-        return Verdict(False, (first_fault,), stats)
+        return Verdict((first_fault,), stats)
     return check_lang(spec, iut, ioco_desirable_language(spec),
                       empty_language(alphabet), "cover")
 
@@ -189,13 +190,11 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
     but-unspecified or forbidden-but-specified."""
     cs, ci = _open(spec, iut, witness)
     suite = build_fault_suite(spec, d, f)
-    completed_sizes = (a.n_states + (len(a.transitions) != a.n_states * len(a.alphabet))
-                       for a in (d, f))  # complete(a).n_states, without completing
+    completed_sizes = (a.n_states + (not a.complete) for a in (d, f))  # complete(a).n_states
     if witness == "cover":
         di = determinize(ci)
         # ties break in the suite's order, not the IUT's
-        di = Dfsa._built(suite.alphabet, di.n_states, di.initial, di.accepting,
-                         di.transitions, di.complete)
+        di = Dfsa._built(suite.alphabet, di.n_states, di.initial, di.accepting, di.transitions)
         words = tuple(witnesses_transition_cover(di, suite))
         iut_states = di.n_states
     else:
@@ -207,7 +206,7 @@ def check_lang(spec: Iolts, iut: Iolts, d: Dfsa, f: Dfsa,
         words, iut_states = () if w is None else (w,), len(iut_rows)
     stats = SuiteStats(determinize(cs).n_states, iut_states, len(suite.alphabet),
                        *completed_sizes, suite.n_states)
-    return Verdict(not words, words, stats)
+    return Verdict(words, stats)
 
 
 def witnesses_transition_cover(iut: Dfsa, suite: Dfsa) -> list[tuple[str, ...]]:

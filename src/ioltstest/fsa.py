@@ -61,11 +61,13 @@ def _require(ok: bool, message: str, error: type = ValueError) -> None:
 
 class _Record:
     """Base of the package's frozen records and of their one container, index and move rule.
-    ``_built(*values)`` makes one from its field values in declaration order
+    ``_built(*values)`` makes one from one value per field in declaration order
     without ``__post_init__``'s checks, for a record derived from checked ones."""
 
     @classmethod
     def _built(cls, *values):
+        if len(values) != len(cls.__dataclass_fields__):  # zip(strict=True) is slower
+            raise ValueError(f"{cls.__name__} takes one value per field")
         record = object.__new__(cls)
         record.__dict__.update(zip(cls.__dataclass_fields__, values))
         return record
@@ -101,9 +103,9 @@ class Dfsa(_Record):
     """A deterministic finite automaton with a possibly partial transition map.
 
     ``transitions`` maps ``(state, token)`` to the successor state; a missing
-    pair means the word dies there.  ``complete`` asserts that every pair is
-    defined.  Instances are immutable; every operation below returns a new
-    automaton.
+    pair means the word dies there.  ``complete`` is computed: whether every
+    pair is defined.  Instances are immutable; every operation below returns a
+    new automaton.
     """
 
     alphabet: tuple[str, ...]
@@ -111,7 +113,6 @@ class Dfsa(_Record):
     initial: int
     accepting: frozenset[int]
     transitions: dict[tuple[int, str], int]
-    complete: bool = False
 
     def __post_init__(self):
         self._check_containers()
@@ -128,11 +129,11 @@ class Dfsa(_Record):
                           set(self.alphabet), "transition token {!r} not in alphabet")
         if not all(self._is_index(s, self.n_states) for s in self.accepting):
             raise FormatError("accepting state out of range")
-        _require(_is(self.complete, _FLAG), "automaton complete flag must be a bool", FormatError)
-        # the keys are distinct (state, token) pairs in range, so a full count
-        # means every pair is defined
-        if self.complete and len(self.transitions) != self.n_states * len(self.alphabet):
-            raise FormatError("automaton flagged complete is partial")
+
+    @property
+    def complete(self) -> bool:
+        """The keys are distinct (state, token) pairs in range: a full count is a total map."""
+        return len(self.transitions) == self.n_states * len(self.alphabet)
 
     def step(self, state: int, token: str) -> int | None:
         return self.transitions.get((state, token))
@@ -176,9 +177,8 @@ def _explore(start, successors) -> tuple[list, dict[tuple[int, str], int]]:
 def _search_dfsa(alphabet: tuple[str, ...], start, successors, accepts) -> Dfsa:
     """The automaton on the ``_explore`` numbering; key k accepts iff accepts(k)."""
     keys, trans = _explore(start, successors)
-    n = len(keys)
-    return Dfsa._built(alphabet, n, 0, frozenset(i for i, k in enumerate(keys) if accepts(k)),
-                       trans, len(trans) == n * len(alphabet))
+    return Dfsa._built(alphabet, len(keys), 0,
+                       frozenset(i for i, k in enumerate(keys) if accepts(k)), trans)
 
 
 def _first_word(start, successors, goal) -> tuple[str, ...] | None:
@@ -266,32 +266,27 @@ def _subset_dfsa(rows, internal, start: int, alphabet: tuple[str, ...], accepts)
 def empty_language(alphabet: Sequence[str]) -> Dfsa:
     """The complete one-state automaton accepting nothing."""
     alpha = tuple(alphabet)
-    return Dfsa(alpha, 1, 0, frozenset(), {(0, t): 0 for t in alpha}, complete=True)
+    return Dfsa(alpha, 1, 0, frozenset(), {(0, t): 0 for t in alpha})
 
 
 def complete(a: Dfsa) -> Dfsa:
     """Make every (state, token) pair defined by routing gaps to a fresh sink.
 
-    If the transition map is already total no sink is added and the automaton
-    is returned as-is (with the ``complete`` flag set).  An automaton already
-    flagged complete (the flag is checked on construction) is returned at once.
+    An automaton whose map is already total (``a.complete``) is returned as-is.
     """
     if a.complete:
         return a
     sink = a.n_states
-    gaps = {(s, tok): sink for s in range(sink) for tok in a.alphabet
-            if (s, tok) not in a.transitions}
-    if not gaps:
-        return Dfsa._built(a.alphabet, sink, a.initial, a.accepting, a.transitions, True)
-    gaps.update(((sink, tok), sink) for tok in a.alphabet)
-    return Dfsa._built(a.alphabet, sink + 1, a.initial, a.accepting, a.transitions | gaps, True)
+    gaps = {(s, tok): sink for s in range(sink + 1) for tok in a.alphabet
+            if (s, tok) not in a.transitions}  # the sink's own moves included
+    return Dfsa._built(a.alphabet, sink + 1, a.initial, a.accepting, a.transitions | gaps)
 
 
 def complement(a: Dfsa) -> Dfsa:
     """Accept exactly the words ``a`` rejects (completing first if needed)."""
     c = complete(a)
     return Dfsa._built(c.alphabet, c.n_states, c.initial,
-                       frozenset(range(c.n_states)) - c.accepting, c.transitions, True)
+                       frozenset(range(c.n_states)) - c.accepting, c.transitions)
 
 
 def _require_shared_alphabet(a: Dfsa, b: Dfsa) -> None:

@@ -46,15 +46,18 @@ class Multigraph:
     """The acyclic unfolding of a specification into m*n + 1 levels, with a
     fail sink.
 
-    Nodes are (state, level) pairs and are not tabulated: ``rows[i]`` lists
-    state i's moves in token declaration order, each to a target state or to
-    ``"fail"``, and ``out`` derives a node's edges from its state's row.
+    Nodes are (state, level) pairs and are not tabulated: ``rows[i]`` lists state i's
+    moves in token declaration order, each to a target state or to ``"fail"``, so ``n``
+    is computed, the row count; ``out`` derives a node's edges from its state's row.
     """
 
     m: int
-    n: int
     initial: Node
     rows: tuple[tuple[tuple[str, object], ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
 
     @property
     def levels(self) -> int:
@@ -70,7 +73,7 @@ class Multigraph:
         larger state index stays on the level; any other move drops to the
         next level, and from the top level it is gone; fail edges stay."""
         i, k = node
-        top = self.m * self.n
+        top = self.m * len(self.rows)
         edges = []
         for tok, j in self.rows[i]:
             if j == FAIL:
@@ -120,15 +123,14 @@ def build_multigraph(spec: Iolts, m: int) -> Multigraph:
         raise FormatError("multigraph construction requires a quiescence-completed model")
     if not spec.is_deterministic:
         raise FormatError("multigraph construction requires a deterministic model")
-    n = len(spec.states)
     tokens = spec.observable_alphabet
     outputs = set(spec.outputs)
     rows = []
-    for i in range(n):
+    for i in range(len(spec.states)):
         step = dict(spec.transitions_from(i))
         rows.append(tuple((tok, step.get(tok, FAIL)) for tok in tokens
                           if tok in step or tok in outputs))
-    return Multigraph(m, n, (spec.initial, 0), tuple(rows))
+    return Multigraph(m, (spec.initial, 0), tuple(rows))
 
 
 def enumerate_fault_paths(g: Multigraph, limit: int) -> list[tuple[str, ...]]:
@@ -209,7 +211,7 @@ class TestPurpose(_Record):
         # the constructor has checked what Dfsa(...) would check here
         return Dfsa._built(self.outputs + self.inputs, len(self.states), self.initial,
                            frozenset({self.fail_index}),
-                           {(s, label): d for s, label, d in self.transitions}, False)
+                           {(s, label): d for s, label, d in self.transitions})
 
     def step(self, state: int, token: str) -> int | None:
         return self._automaton.step(state, token)

@@ -41,9 +41,14 @@ class TpResult:
 
 @dataclass(frozen=True)
 class RunReport:
-    overall: str
+    """A run's results and time; ``overall`` is computed: "pass" iff every result passed."""
+
     results: tuple[TpResult, ...]
     elapsed_ms: float
+
+    @property
+    def overall(self) -> str:
+        return "pass" if all(r.verdict == "pass" for r in self.results) else "fail"
 
 
 def report_json(report: RunReport) -> dict:
@@ -119,6 +124,5 @@ def run_fault_model(iut: Iolts, model: FaultModel, fail_fast: bool = False,
             results.append(TpResult(i, "fail", path, False))
             if fail_fast:
                 break
-    overall = "pass" if all(r.verdict == "pass" for r in results) else "fail"
     elapsed = (time.perf_counter() - start) * 1000.0
-    return RunReport(overall, tuple(results), elapsed)
+    return RunReport(tuple(results), elapsed)

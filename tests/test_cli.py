@@ -470,6 +470,21 @@ def test_complete_input_enable_mode(files, tmp_path):
     assert "s1 a s1" in out.read_text()
 
 
+@pytest.mark.parametrize("value, inputs", [("4", "in0 in1 in2 in3"), ("1_0", "1_0"),
+                                           ("\u0663", None), ("+3", None)],
+                         ids=["count", "underscore", "arabic-indic", "plus"])
+def test_gen_model_counts_only_ascii_digits(tmp_path, capsys, value, inputs):
+    """Only ASCII digits are a token count; any other value is a token list,
+    so ``1_0`` names one input and a non-ASCII digit or a sign is a bad name."""
+    out = tmp_path / "m.iolts"
+    rc = main(["gen-model", "--states", "2", "--inputs", value, "--outputs", "1", "-o", str(out)])
+    if inputs is None:
+        assert rc == 2 and not out.exists()
+        _assert_one_error_line(capsys)
+    else:
+        assert rc == 0 and f"\ninputs: {inputs}\n" in out.read_text()
+
+
 @pytest.mark.parametrize("counts", [["--inputs", "-1", "--outputs", "1"],
                                     ["--inputs", "1", "--outputs", "-3"]])
 def test_gen_model_rejects_negative_token_counts(tmp_path, capsys, counts):

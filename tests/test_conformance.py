@@ -187,7 +187,7 @@ def test_cover_single_chain():
     alpha = ("a", "x")
     chain = compile_regex("a x", alpha)
     universal = Dfsa(alpha, 1, 0, frozenset({0}),
-                     {(0, t): 0 for t in alpha}, complete=True)
+                     {(0, t): 0 for t in alpha})
     words = witnesses_transition_cover(universal, chain)
     assert words == [("a", "x")]
 
@@ -196,7 +196,7 @@ def test_cover_two_branches():
     alpha = ("a", "b", "x")
     suite = compile_regex("( a | b ) x", alpha)
     universal = Dfsa(alpha, 1, 0, frozenset({0}),
-                     {(0, t): 0 for t in alpha}, complete=True)
+                     {(0, t): 0 for t in alpha})
     words = witnesses_transition_cover(universal, suite)
     assert ("a", "x") in words and ("b", "x") in words
 

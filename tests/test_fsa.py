@@ -47,7 +47,7 @@ def random_dfsa(seed, alphabet=ABX, max_states=4):
     n = 1 + rng.below(max_states)
     trans = {(s, t): rng.below(n) for s in range(n) for t in alphabet}
     accepting = frozenset(s for s in range(n) if rng.chance(0.4))
-    return Dfsa(tuple(alphabet), n, 0, accepting, trans, complete=True)
+    return Dfsa(tuple(alphabet), n, 0, accepting, trans)
 
 
 def random_words(seed, alphabet=ABX, count=100, max_len=6):
@@ -298,20 +298,18 @@ def test_recompilation_is_language_equivalent():
     assert equivalent(a, b)
 
 
-@pytest.mark.parametrize("alphabet,n,initial,accepting,trans,flagged,message", [
-    (("a", "a"), 1, 0, set(), {}, False, "duplicate token"),
-    (("a",), 0, 0, set(), {}, False, "at least one state"),
-    (("a",), 2, 2, set(), {}, False, "initial state"),
-    (("a",), 2, 0, {-1}, {}, False, "accepting state"),
-    (("a",), 2, 0, set(), {(0, "a"): 2}, False, "endpoint"),
-    (("a",), 2, 0, set(), {(0.5, "a"): 1}, False, "endpoint"),
-    (("a",), 2, 0, set(), {(0, "b"): 1}, False, "not in alphabet"),
-    (("a", "b"), 2, 0, set(), {(0, "a"): 1, (1, "a"): 1, (1, "b"): 0}, True,
-     "flagged complete is partial"),
+@pytest.mark.parametrize("alphabet,n,initial,accepting,trans,message", [
+    (("a", "a"), 1, 0, set(), {}, "duplicate token"),
+    (("a",), 0, 0, set(), {}, "at least one state"),
+    (("a",), 2, 2, set(), {}, "initial state"),
+    (("a",), 2, 0, {-1}, {}, "accepting state"),
+    (("a",), 2, 0, set(), {(0, "a"): 2}, "endpoint"),
+    (("a",), 2, 0, set(), {(0.5, "a"): 1}, "endpoint"),
+    (("a",), 2, 0, set(), {(0, "b"): 1}, "not in alphabet"),
 ])
-def test_dfsa_rejects_malformed(alphabet, n, initial, accepting, trans, flagged, message):
+def test_dfsa_rejects_malformed(alphabet, n, initial, accepting, trans, message):
     with pytest.raises(FormatError, match=message):
-        Dfsa(alphabet, n, initial, frozenset(accepting), trans, complete=flagged)
+        Dfsa(alphabet, n, initial, frozenset(accepting), trans)
 
 
 def test_complete_idempotent():
@@ -455,10 +453,8 @@ def test_witness_is_minimal():
 def test_complete_flags_a_total_automaton_unchanged():
     total = Dfsa(("a", "b"), 2, 0, frozenset({1}),
                  {(0, "a"): 1, (0, "b"): 0, (1, "a"): 1, (1, "b"): 0})
-    done = complete(total)
-    assert done.complete and not total.complete
-    assert done.transitions == total.transitions
-    assert (done.n_states, done.accepting) == (total.n_states, total.accepting)
+    assert total.complete
+    assert complete(total) is total
 
 
 def test_bounded_language_rejects_negative_depth():
@@ -647,14 +643,12 @@ def test_internal_builds_pass_the_public_constructor(monkeypatch):
     for a in built:
         assert a.complete == (len(a.transitions) == a.n_states * len(a.alphabet))
         # the validating constructor raises FormatError on a malformed automaton
-        Dfsa(a.alphabet, a.n_states, a.initial, a.accepting, a.transitions, a.complete)
+        Dfsa(a.alphabet, a.n_states, a.initial, a.accepting, a.transitions)
 
 
 def test_public_construction_paths_still_validate():
     a = Dfsa(("a",), 2, 0, frozenset({1}), {(0, "a"): 1})
     with pytest.raises(FormatError, match="initial state out of range"):
         replace(a, initial=2)
-    with pytest.raises(FormatError, match="flagged complete is partial"):
-        replace(a, complete=True)
     with pytest.raises(FormatError, match="duplicate token"):
         empty_language(("a", "a"))

@@ -1,7 +1,8 @@
 """The three checked records, ``Iolts``, ``TestPurpose`` and ``Dfsa``: their
 constructors share one index rule and one name rule, and a record that a
 constructor accepts is one the package can use.  Every public entry checks
-the counts, fractions, seeds, flags and texts it takes by the one scalar rule."""
+the counts, fractions, seeds, flags and texts it takes by the one scalar rule.
+No record stores a value its other fields determine."""
 
 import random
 import re
@@ -15,16 +16,22 @@ from ioltstest import (
     FormatError,
     GenParams,
     Iolts,
+    Multigraph,
+    RunReport,
+    Verdict,
     angelic_input_enable,
     bounded_language,
     build_multigraph,
     check_ioco,
+    check_lang,
     compile_regex,
     complete_quiescence,
     determinize,
+    empty_language,
     ensure_quiescence,
     enumerate_fault_paths,
     generate_fault_model,
+    ioco_desirable_language,
     mutate,
     parse_model,
     path_to_test_purpose,
@@ -180,7 +187,7 @@ def _draw_dfsa(rng, bad):
              for s in range(n) for t in alphabet if rng.random() < 0.7}
     accepting = frozenset(_pick(rng, bad, rng.randrange(n)) for _ in range(rng.randint(0, n)))
     return Dfsa(alphabet, _pick(rng, bad, n), _pick(rng, bad, rng.randrange(n)), accepting,
-                moves, len(moves) == n * len(alphabet) and rng.random() < 0.8)
+                moves)
 
 
 def test_an_accepted_record_is_usable():
@@ -290,8 +297,6 @@ _ENTRIES = {
                                 "input_enabled must be a bool", _NOT_FLAGS + (0,)),
     "run_fault_model fail_fast": (lambda v: run_fault_model(_SPEC, _SUITE, fail_fast=v),
                                   ValueError, "fail_fast must be a bool", _NOT_FLAGS),
-    "Dfsa complete": (lambda v: Dfsa(("a",), 1, 0, frozenset(), {(0, "a"): 0}, complete=v),
-                      FormatError, "automaton complete flag must be a bool", _NOT_FLAGS + ("no",)),
     "parse_model text": (parse_model, FormatError, "model or tester text must be a str",
                          _NOT_TEXTS + (b"states: s0",)),
     "tp_from_text text": (tp_from_text, FormatError, "model or tester text must be a str",
@@ -325,7 +330,7 @@ def test_edge_values_stay_valid():
     assert _generated(seed=-1) == _generated(seed=(1 << 64) - 1)
     assert _generated(seed=2**70 + 5) == _generated(seed=5)
     assert mutate(_SPEC, 0.5, -1) == mutate(_SPEC, 0.5, (1 << 64) - 1)
-    assert Dfsa(("a",), 1, 0, frozenset(), {(0, "a"): 0}, complete=True).complete is True
+    assert Dfsa(("a",), 1, 0, frozenset(), {(0, "a"): 0}).complete is True
 
 
 def test_has_delta_is_delta_among_the_outputs():
@@ -346,3 +351,62 @@ def test_has_delta_is_delta_among_the_outputs():
         for model in derived:
             moves = any(label == DELTA for _, label, _ in model.transitions)
             assert model.has_delta is (DELTA in model.outputs) and (not moves or model.has_delta)
+
+
+@pytest.mark.parametrize("record", [
+    Dfsa(("a",), 2, 0, frozenset({1}), {(0, "a"): 1}),
+    Iolts(("s0", "s1"), 0, ("a",), ("x",), ((0, "a", 1), (1, "x", 0))),
+    TESTER,
+], ids=["Dfsa", "Iolts", "TestPurpose"])
+def test_built_takes_one_value_per_field(record):
+    """``_built`` makes a record from exactly one value per field in declaration
+    order: a value too many or too few is refused, never dropped or defaulted."""
+    kind, values = type(record), [getattr(record, f.name) for f in fields(record)]
+    built = kind._built(*values)
+    assert [getattr(built, f.name) for f in fields(record)] == values
+    for miscounted in (values + [values[-1]], values[:-1]):
+        with pytest.raises(ValueError):
+            kind._built(*miscounted)
+
+
+def test_derived_values_are_no_fields():
+    """Whether an automaton is total, a verdict conforms, a run passes and how
+    many states a multigraph has are computed, not stored beside what decides them."""
+    assert [f.name for f in fields(Dfsa)] == [
+        "alphabet", "n_states", "initial", "accepting", "transitions"]
+    assert [f.name for f in fields(Verdict)] == ["witnesses", "stats"]
+    assert [f.name for f in fields(RunReport)] == ["results", "elapsed_ms"]
+    assert [f.name for f in fields(Multigraph)] == ["m", "initial", "rows"]
+
+
+def test_computed_values_follow_their_rules():
+    """On seeded verdicts (single and cover, ioco and language), runs (whole and
+    fail-fast) and multigraphs, ``conforms`` is the absence of witnesses,
+    ``overall`` is pass iff every result passed and ``n`` is the row count,
+    which is the specification's state count."""
+    seen = set()
+    for seed in range(24):
+        spec = random_iolts(GenParams(6, 3, 3, deterministic=False, input_enabled=False,
+                                      density=0.5, seed=seed))
+        iut = submachine(spec, 0.7, seed) if seed % 2 else mutate(spec, 0.3, seed).model
+        d, f = ioco_desirable_language(spec), empty_language(determinize(
+            ensure_quiescence(spec)).alphabet)
+        for witness in ("single", "cover"):
+            for v in (check_ioco(spec, iut, witness), check_lang(spec, iut, d, f, witness)):
+                assert v.conforms is (not v.witnesses)
+                seen.add(("conforms", v.conforms))
+        det_spec = random_iolts(GenParams(1 + seed % 4, ["a", "b"], ["x", "y"],
+                                          deterministic=True, input_enabled=True, seed=seed))
+        cs = ensure_quiescence(det_spec)
+        graph = build_multigraph(cs, 1 + seed % 3)
+        assert graph.n == len(graph.rows) == len(cs.states)
+        model = generate_fault_model(det_spec, m=2, limit=300)
+        det_iut = random_iolts(GenParams(1 + seed % 3, ["a", "b"], ["x", "y"],
+                                         deterministic=True, input_enabled=True, seed=seed + 99))
+        for fail_fast in (False, True):
+            report = run_fault_model(det_iut, model, fail_fast=fail_fast)
+            passed = all(r.verdict == "pass" for r in report.results)
+            assert report.overall == ("pass" if passed else "fail")
+            seen.add(("overall", report.overall))
+    assert seen == {("conforms", True), ("conforms", False), ("overall", "pass"),
+                    ("overall", "fail")}

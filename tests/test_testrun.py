@@ -459,4 +459,6 @@ def test_every_function_resolves_its_annotations():
             typing.get_type_hints(function)
             checked.append(f"{info.name}.{function.__qualname__}")
     assert {"testrun._open", "cli.main", "testgen.TestPurpose.step",
-            "testgen.Multigraph.edges", "fsa._Record._built"} <= set(checked)
+            "testgen.Multigraph.edges", "fsa._Record._built", "fsa.Dfsa.complete",
+            "conformance.Verdict.conforms", "testrun.RunReport.overall",
+            "testgen.Multigraph.n"} <= set(checked)
