@@ -12,7 +12,9 @@ fault words, and each one is completed into a tester: deterministic,
 input-enabled over the outputs-plus-delta it listens to, emitting exactly one
 stimulus per state, with pass/fail terminals.  The testers and tester files of
 one suite come from one builder over its alphabets, which shares their common
-pieces and checks the alphabets once, at the first path.
+pieces and checks the alphabets once, at the first path.  A suite is its paths:
+generating one builds path 0's tester only, to check the alphabets, reading one
+builds none, and a suite's testers are built when its ``tps`` is first read.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -378,12 +381,51 @@ def _require_sound(tp: TestPurpose) -> None:
         raise FormatError("invalid test purpose: " + "; ".join(problems))
 
 
+class _Tps(Sequence):
+    """A suite's testers, built when first asked for: ``len`` counts the paths and
+    builds nothing; any other use builds every tester once, by ``builder.tester``,
+    and acts as that tuple does (``==``, ``hash``, ``+`` and ``repr`` included)."""
+
+    def __init__(self, builder: _Testers, paths: tuple[tuple[str, ...], ...]):
+        self._builder, self._paths = builder, paths
+
+    @cached_property
+    def _tuple(self) -> tuple[TestPurpose, ...]:
+        return tuple(map(self._builder.tester, self._paths))
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def __getitem__(self, index):
+        return self._tuple[index]
+
+    def __iter__(self):
+        return iter(self._tuple)
+
+    def __eq__(self, other):
+        return self._tuple == other  # another _Tps answers through its own __eq__
+
+    def __hash__(self) -> int:
+        return hash(self._tuple)
+
+    def __add__(self, other):
+        return self._tuple + other
+
+    def __radd__(self, other):
+        return other + self._tuple
+
+    def __repr__(self) -> str:
+        return repr(self._tuple)
+
+
 @dataclass(frozen=True)
 class FaultModel:
     """An ordered set of test purposes extracted from one multigraph;
-    ``tps[i]`` is the tester of ``paths[i]``, the path ``run_fault_model`` runs."""
+    ``tps[i]`` is the tester of ``paths[i]``, the path ``run_fault_model`` runs.
+    A generated or read model builds its testers when ``tps`` is first read
+    (``len(tps)`` builds none); until then it holds the paths only."""
 
-    tps: tuple[TestPurpose, ...]
+    tps: Sequence[TestPurpose]
     paths: tuple[tuple[str, ...], ...]
     m: int
     n: int
@@ -402,7 +444,9 @@ class FaultModel:
 
 
 def generate_fault_model(spec: Iolts, m: int, limit: int = 1000) -> FaultModel:
-    """Multigraph construction, path extraction and tester completion in one go.
+    """Multigraph construction and path extraction; each path's tester is
+    completed when ``tps`` is first read, and path 0's at once, so a spec whose
+    alphabets no tester can carry raises here.
 
     The specification is quiescence-completed if necessary (it must be
     deterministic).  When ``limit`` exceeds the number of fault paths the
@@ -415,9 +459,11 @@ def generate_fault_model(spec: Iolts, m: int, limit: int = 1000) -> FaultModel:
     paths = enumerate_fault_paths(g, limit + 1)
     truncated = len(paths) > limit
     del paths[limit:]
+    paths = tuple(paths)
     testers = _Testers(cs.inputs, (t for t in cs.outputs if t != DELTA))
-    tps = tuple(map(testers.tester, paths))
-    return FaultModel(tps, tuple(paths), m, g.n, limit, truncated,
+    if paths:  # path 0's tester checks the alphabets now, not when tps is read
+        testers.tester(paths[0])
+    return FaultModel(_Tps(testers, paths), paths, m, g.n, limit, truncated,
                       cs.inputs, cs.outputs)
 
 
@@ -462,12 +508,12 @@ def _json(convert, *args, **kwargs):
         raise FormatError("manifest.json is not readable JSON") from None
 
 
-def _open_suite(manifest, build) -> tuple:
+def _open_suite(manifest) -> tuple:
     """The one entry step of ``manifest``, the suite document write writes and read
     reads: FormatError unless, in this order, it is an object of ``_MANIFEST_TYPES``
-    keys and types with token-list alphabets and paths, each path passes ``build``
-    (a ``_Testers`` method) and path 0 the alphabets, and the six value rules hold.
-    Returns the builder, the paths as tuples, and what ``build`` made of each."""
+    keys and types with token-list alphabets and paths, each path passes
+    ``_Testers.edges`` and path 0 the alphabets, and the six value rules hold.
+    Returns the builder and the paths as tuples."""
     if not isinstance(manifest, dict):
         raise FormatError("manifest.json must hold a JSON object")
     for key, kind in _MANIFEST_TYPES.items():
@@ -479,10 +525,10 @@ def _open_suite(manifest, build) -> tuple:
                for v in (inputs, outputs, *paths)):
         raise FormatError("manifest.json alphabets and paths must be lists of tokens")
     testers = _Testers(inputs, (t for t in outputs if t != DELTA))
-    paths, built = tuple(map(tuple, paths)), []
+    paths = tuple(map(tuple, paths))
     for i, path in enumerate(paths):
         try:
-            built.append(build(testers, path))
+            testers.edges(path)
             if i == 0:  # the alphabets, as the first tester built checks them
                 _tester_names(testers.observed, testers.emitted)
         except FormatError as exc:
@@ -499,18 +545,19 @@ def _open_suite(manifest, build) -> tuple:
         raise FormatError("manifest.json is truncated with fewer paths than its limit")
     if levels != m * n + 1:
         raise FormatError("manifest.json needs levels of m*n + 1")
-    return testers, paths, built
+    return testers, paths
 
 
 def write_fault_model(model: FaultModel, directory: str) -> None:
     """Write tp-NNNN.iolts files plus a manifest.json describing the run, and
     remove the tp-NNNN.iolts files numbered past the new suite; a model that
     ``read_fault_model`` refuses raises its FormatError before any writing, as
-    both run the manifest text through ``_open_suite`` (paths by ``_Testers.edges``)."""
+    both run the manifest text through ``_open_suite``; the tester files are
+    spelled from the paths, so write builds no tester."""
     text = _json(json.dumps, dict(zip(_MANIFEST_TYPES, (  # JSON spells the tuples as lists
         model.m, model.n, model.levels, model.limit, model.truncated, len(model.paths),
         model.inputs, model.outputs, model.paths))), indent=2) + "\n"
-    testers, paths, _ = _open_suite(json.loads(text), _Testers.edges)
+    testers, paths = _open_suite(json.loads(text))
     os.makedirs(directory, exist_ok=True)
     for i, path in enumerate(paths):
         with open(os.path.join(directory, _tp_file(i)), "w", encoding="utf-8") as fh:
@@ -524,16 +571,18 @@ def write_fault_model(model: FaultModel, directory: str) -> None:
 
 
 def read_fault_model(directory: str) -> FaultModel:
-    """Load a directory written by ``write_fault_model``, rebuilding each tester
-    from its manifest path; FormatError on a manifest ``_open_suite`` refuses, with
-    write's message, or then on a tester file that differs from what write writes."""
+    """Load a directory written by ``write_fault_model``: its manifest paths, with
+    their testers built when ``tps`` is first read; FormatError on a manifest
+    ``_open_suite`` refuses, with write's message, or then on a tester file that
+    differs from the text write spells from its path."""
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
         manifest = _json(json.load, fh)
-    testers, paths, tps = _open_suite(manifest, _Testers.tester)
+    testers, paths = _open_suite(manifest)
     for i, path in enumerate(paths):
         name = _tp_file(i)
         with open(os.path.join(directory, name), "rb") as fh:
             if fh.read() != testers.text(path).encode("utf-8"):
                 raise FormatError(f"{name} differs from the tester of its manifest path")
-    return FaultModel(tuple(tps), paths, *map(manifest.get, ("m", "n", "limit", "truncated")),
+    return FaultModel(_Tps(testers, paths), paths,
+                      *map(manifest.get, ("m", "n", "limit", "truncated")),
                       testers.emitted, tuple(manifest["outputs"]))

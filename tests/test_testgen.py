@@ -11,6 +11,7 @@ from ioltstest import (
     FaultModel,
     FormatError,
     GenParams,
+    Iolts,
     Multigraph,
     angelic_input_enable,
     build_multigraph,
@@ -22,6 +23,7 @@ from ioltstest import (
     path_to_test_purpose,
     random_iolts,
     read_fault_model,
+    run_fault_model,
     serialize_model,
     tp_from_text,
     tp_invariant_violations,
@@ -30,6 +32,7 @@ from ioltstest import (
 )
 from ioltstest import testgen
 from conftest import INPUT_ONLY_TEXT
+from test_acceptance import _exhaustive_specs
 
 
 def test_levels_four_state_m4(four_state):
@@ -421,6 +424,85 @@ def test_suite_checks_its_alphabets_once(monkeypatch, four_state, tmp_path):
     assert read_fault_model(str(tmp_path)) == model and checks == [2]
     path_to_test_purpose(("a", "x"), ("a",), ("x",))
     assert checks == [3]
+
+
+def test_a_suite_builds_no_tester_past_path_0_until_tps_is_read(monkeypatch, four_state,
+                                                                tmp_path):
+    """Generating, counting, writing, reading and running a suite build path 0's
+    tester only, the one generation checks the alphabets with; reading ``tps``
+    then builds every tester of that model once."""
+    calls, tester = [0], testgen._Testers.tester
+
+    def counted(self, path):
+        calls[0] += 1
+        return tester(self, path)
+
+    monkeypatch.setattr(testgen._Testers, "tester", counted)
+    model = generate_fault_model(four_state, m=2, limit=50)
+    assert len(model.tps) == 50
+    write_fault_model(model, str(tmp_path))
+    loaded = read_fault_model(str(tmp_path))
+    assert run_fault_model(four_state, loaded).overall == "pass"
+    assert calls == [1]
+    loaded.tps[0], loaded.tps[-1]
+    assert calls == [51]
+
+
+def test_built_testers_match_path_to_test_purpose():
+    """On every suite criterion 6 runs, tester i is ``path_to_test_purpose`` of path i."""
+    for _, model in _exhaustive_specs(20, m=3, cap=6000):
+        observed = tuple(t for t in model.outputs if t != DELTA)
+        assert model.tps == tuple(path_to_test_purpose(p, model.inputs, observed)
+                                  for p in model.paths)
+
+
+@pytest.mark.parametrize("touch", ["none", "generated", "loaded", "both"])
+def test_round_trip_models_are_equal_whether_or_not_tps_was_read(four_state, tmp_path,
+                                                                 touch):
+    """Generate, write and read give equal models with equal hashes, also equal to
+    the model that holds its testers as a tuple, whichever ``tps`` was read first."""
+    model = generate_fault_model(four_state, m=2, limit=50)
+    write_fault_model(model, str(tmp_path))
+    loaded = read_fault_model(str(tmp_path))
+    for which, suite in (("generated", model), ("loaded", loaded)):
+        if touch in (which, "both"):
+            suite.tps[0]
+    assert model == loaded and loaded == model and hash(model) == hash(loaded)
+    eager = replace(model, tps=tuple(path_to_test_purpose(p, ("a", "b"), ("x",))
+                                     for p in model.paths))
+    assert eager == loaded and loaded == eager and hash(eager) == hash(loaded)
+
+
+def test_tps_act_as_their_tuple(four_state):
+    """``tps`` compares, hashes, adds, slices and prints as the tuple of its testers,
+    whether or not its testers were built before."""
+    def tps():
+        return generate_fault_model(four_state, m=2, limit=50).tps
+
+    built = tuple(tps())
+    assert len(built) == 50 and isinstance(built[0], testgen.TestPurpose)
+    assert repr(tps()) == repr(built) and hash(tps()) == hash(built)
+    assert tps() == built and built == tps() and tps() == tps()
+    assert tps() != built[:-1] and built[:-1] != tps() and tps() != list(built)
+    for total in (tps() + tps(), tps() + built, built + tps()):
+        assert type(total) is tuple and total == built + built
+    assert tps()[1:3] == built[1:3] and list(reversed(tps())) == list(reversed(built))
+    assert built[7] in tps() and tps().index(built[7]) == 7
+    with pytest.raises(TypeError):
+        tps() + list(built)
+
+
+@pytest.mark.parametrize("inputs, outputs, message", [
+    ((), ("x",), "a tester needs at least one input to emit"),
+    (("a",), ("x", "a"), "test purpose alphabets overlap"),
+    (("a",), ("pass",), "reserved name used as a test purpose action"),
+])
+def test_generation_checks_the_tester_alphabets(inputs, outputs, message):
+    """A spec whose testers the builder refuses fails at ``generate_fault_model``,
+    not when ``tps`` is read: an unchecked spec reaches the alphabet rules."""
+    spec = Iolts._built(("s0",), 0, inputs, outputs, ())
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        generate_fault_model(spec, m=1, limit=5)
 
 
 @pytest.mark.parametrize("inputs, outputs", [
